@@ -33,14 +33,11 @@ def _level_name(slot: int, skip: frozenset) -> Name:
     return next(itertools.islice(usable, slot, None))
 
 
-def normalize(p: Process, unfold_budget: int = 0) -> Process:
+def normalize(p: Process) -> Process:
     """Canonical representative of the congruence class of `p`.
 
-    The budget is validated for interface compatibility; the normal form
-    itself never unfolds replication (see `congruent`).
+    The normal form never unfolds replication (see `congruent`).
     """
-    if unfold_budget < 0:
-        raise ValueError("unfold_budget must be >= 0")
     return _normalize(p)
 
 

@@ -129,16 +129,13 @@ def _tau_reachable(p: Process, bound: int) -> list:
     root = normalize(p)
     dist = {root: 0}
     order = [root]
-    queue = [root]
-    while queue:
-        t = queue.pop(0)
+    for t in order:  # `order` grows while it is walked: a FIFO queue
         if dist[t] >= bound:
             continue
         for u in reduce_once(t):
             if u not in dist:
                 dist[u] = dist[t] + 1
                 order.append(u)
-                queue.append(u)
     return [(t, dist[t]) for t in order]
 
 

@@ -6,14 +6,21 @@ is only definite when the deciding evidence is fully explored, and
 Unknown is sticky: an obligation that touches a frontier state or leads
 outside the built fragments can downgrade Related to Unknown, never
 flip it to NotRelated.
+
+Each check explores the game on the fly from the root pair: obligations
+are built only for the pairs reachable from it, a loose refinement decides
+`not_related`, and a strict one, started from the loose survivors, decides
+`related`.  The relation of a `related` verdict holds the strict survivors
+reachable from the root pair.  A witness is searched breadth-first from the
+root and rendered only once chosen.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .congruence import normalize
 from .observables import CHAN, IN, OUT, SUCC, strong_barbs
@@ -168,14 +175,19 @@ _CATEGORY_RANK = {
     "tau-move": 4,
 }
 
+# The lowest-ranked blame category each kind can produce; the reduction-based
+# kinds produce "barb" at best.
+_LOWEST_CATEGORY = {"ewb": "input-move", "wab": "input-move", "wot": "output-move"}
 
-@dataclass(frozen=True)
-class Blame:
+
+class Blame(NamedTuple):
+    """An obligation that can fail, kept unrendered: only the blame chosen as
+    the witness gets its label, detail and near-miss labels rendered."""
+
     side: str
     category: str
-    label: str
-    detail: str
-    near_miss: tuple = ()
+    subject: object  # the unmatched label or barb; for divergence, (left, right)
+    y: int = 0  # the other side's state, whose weak moves are the near misses
 
 
 def _divergence_status(frag: LtsFragment) -> list:
@@ -196,10 +208,28 @@ def _divergence_status(frag: LtsFragment) -> list:
     return out
 
 
+def _named_pairs(obs, out: set) -> set:
+    """Add to `out` every pair the obligations `obs` name."""
+    for ob in obs:
+        if ob[0] == "exists":
+            for e in ob[1]:
+                out.update(e[1:])
+        elif ob[0] in ("forall", "disj"):
+            _named_pairs(ob[1], out)
+    return out
+
+
 class _Engine:
-    """Obligation tables for one check: both fragments saturated, every
-    pair's clause obligations precomputed, then refined to the greatest
-    satisfying relation."""
+    """The bisimulation game of one check, explored on the fly.
+
+    Both fragments are built and saturated up front.  Clause obligations
+    are built only for the pairs a check asks about and for the pairs
+    reachable from them through the pairs obligations name, their closure;
+    no obligation names a pair outside its own pair's closure.  `refine`
+    removes failing pairs exactly as repeated sorted sweeps over every pair
+    would: each removal keeps its sweep round and the blames recorded at
+    that moment, so verdicts and witnesses do not depend on how much of
+    the game was explored."""
 
     def __init__(self, kind: RelationKind, fa: LtsFragment, fb: LtsFragment, wset: tuple):
         self.kind = kind
@@ -226,11 +256,18 @@ class _Engine:
                 self.weak_obs[s] = per
         if kind.divergence_preserving:
             self.div = {s: _divergence_status(frag) for s, (frag, _) in self.sides.items()}
-        self.table = {}
-        for i in range(len(fa.states)):
-            for j in range(len(fb.states)):
-                obs = self._pair_obligations("left", i, j) + self._pair_obligations("right", j, i)
-                self.table[(i, j)] = obs
+        self.table = {}  # pair -> clause obligations, built on demand
+        self.deps = {}  # explored pair -> the pairs its obligations name
+        self.removed = {}  # pair -> sweep round of its removal by the loose refinement
+        self.blames = {}  # pair -> the blames recorded when it was removed
+
+    def obligations(self, pair: tuple) -> tuple:
+        obs = self.table.get(pair)
+        if obs is None:
+            i, j = pair
+            obs = self._pair_obligations("left", i, j) + self._pair_obligations("right", j, i)
+            self.table[pair] = obs
+        return obs
 
     def _key(self, side: str, x2: int, y2: int) -> tuple:
         return (x2, y2) if side == "left" else (y2, x2)
@@ -238,24 +275,12 @@ class _Engine:
     def _pair_obligations(self, side: str, x: int, y: int) -> tuple:
         fx, fy = self.sides[side]
         obs = []
-        term = render_term(fx.states[x])
         if self.kind.divergence_preserving and side == "left":
             dx, dy = self.div["left"][x], self.div["right"][y]
             if "unknown" in (dx, dy):
                 obs.append(("static", _TAINT, None))
             elif dx != dy:
-                obs.append(
-                    (
-                        "static",
-                        _FAIL,
-                        Blame(
-                            side,
-                            "divergence",
-                            dx,
-                            f"left diverges={dx} but right diverges={dy}",
-                        ),
-                    )
-                )
+                obs.append(("static", _FAIL, Blame(side, "divergence", (dx, dy))))
         if x in fx.frontier:
             obs.append(("static", _TAINT, None))
         if self.kind.reduction_based:
@@ -272,14 +297,7 @@ class _Engine:
         for b in sorted(self.obs[side][x]):
             if b in found:
                 continue
-            status = _FAIL if closed else _TAINT
-            blame = Blame(
-                side,
-                "barb",
-                str(b),
-                f"{side} has strong barb '{b}' which the {other} side never reaches weakly",
-            )
-            yield ("static", status, blame)
+            yield ("static", _FAIL if closed else _TAINT, Blame(side, "barb", b))
 
     def _tau_obligations(self, side: str, x: int, y: int, fx: LtsFragment, fy: LtsFragment):
         cly, closedy = fy.tau_closure[y]
@@ -296,20 +314,13 @@ class _Engine:
                             )
             else:
                 entries = [("pair", self._key(side, x2, y2)) for y2 in sorted(cly)]
-            blame = Blame(
-                side,
-                "tau-move",
-                "tau",
-                f"a tau step on the {side} cannot be matched weakly",
-            )
-            yield ("exists", tuple(entries), closedy, blame)
+            yield ("exists", tuple(entries), closedy, Blame(side, "tau-move", a))
 
     def _near_miss(self, fy: LtsFragment, y: int, chan) -> tuple:
         moves, _ = fy.weak_moves[y]
         return tuple(sorted({render_label(a) for a, _ in moves if getattr(a, "chan", None) == chan}))
 
     def _label_obligations(self, side: str, x: int, y: int, fx: LtsFragment, fy: LtsFragment):
-        other = "right" if side == "left" else "left"
         ymoves, ycomplete = fy.weak_moves[y]
         for a, x2 in fx.edges_from(x):
             if isinstance(a, Tau):
@@ -318,28 +329,14 @@ class _Engine:
                 entries = [
                     ("pair", self._key(side, x2, y2)) for b, y2 in ymoves if b == a
                 ]
-                blame = Blame(
-                    side,
-                    "output-move",
-                    render_label(a),
-                    f"{side} performs free output {render_label(a)} with no weak match on the {other}",
-                    self._near_miss(fy, y, a.chan),
-                )
-                yield ("exists", tuple(entries), ycomplete, blame)
+                yield ("exists", tuple(entries), ycomplete, Blame(side, "output-move", a, y))
             elif isinstance(a, BoundOutput):
                 entries = []
                 for b, y2 in ymoves:
                     if not isinstance(b, BoundOutput) or b.chan != a.chan:
                         continue
                     entries.append(self._aligned_entry(side, fx, fy, x2, y2, b.datum, a.datum))
-                blame = Blame(
-                    side,
-                    "output-move",
-                    render_label(a),
-                    f"{side} performs bound output {render_label(a)} with no weak match on the {other}",
-                    self._near_miss(fy, y, a.chan),
-                )
-                yield ("exists", tuple(entries), ycomplete, blame)
+                yield ("exists", tuple(entries), ycomplete, Blame(side, "output-move", a, y))
             elif isinstance(a, InputLab) and self.kind.kind == "ewb":
                 yield self._input_obligation(side, x2, a, y, fx, fy, ymoves, ycomplete)
         if self.kind.kind == "wab":
@@ -356,14 +353,7 @@ class _Engine:
                     buffered = normalize(Par(fy.states[y2], Output(a.chan, a.datum, NIL)))
                     entries.append(self._resolve(side, fx, fy, x2, buffered))
                 branch_b = ("exists", tuple(entries), closedy, None)
-                blame = Blame(
-                    side,
-                    "input-move",
-                    render_label(a),
-                    f"{side} weak input {render_label(a)} has neither a weak input match nor a buffered-output match on the {other}",
-                    self._near_miss(fy, y, a.chan),
-                )
-                yield ("disj", (branch_a, branch_b), blame)
+                yield ("disj", (branch_a, branch_b), Blame(side, "input-move", a, y))
 
     def _aligned_entry(self, side, fx, fy, x2, y2, have, want):
         if have == want:
@@ -398,15 +388,29 @@ class _Engine:
                 else:
                     entries.append(("taint",))
             subs.append(("exists", tuple(entries), ycomplete, None))
+        return ("forall", tuple(subs), Blame(side, "input-move", a, y))
+
+    def _render(self, blame: Blame) -> tuple:
+        """The (label, detail, near-miss labels) of a blame."""
+        side, category, subject, y = blame
         other = "right" if side == "left" else "left"
-        blame = Blame(
-            side,
-            "input-move",
-            render_label(a),
-            f"{side} performs input {render_label(a)} which the {other} side cannot weakly match",
-            self._near_miss(fy, y, a.chan),
-        )
-        return ("forall", tuple(subs), blame)
+        if category == "divergence":
+            dx, dy = subject
+            return dx, f"left diverges={dx} but right diverges={dy}", ()
+        if category == "barb":
+            return str(subject), f"{side} has strong barb '{subject}' which the {other} side never reaches weakly", ()
+        if category == "tau-move":
+            return "tau", f"a tau step on the {side} cannot be matched weakly", ()
+        label = render_label(subject)
+        near_miss = self._near_miss(self.sides[side][1], y, subject.chan)
+        if category == "output-move":
+            how = "free" if isinstance(subject, FreeOutput) else "bound"
+            detail = f"{side} performs {how} output {label} with no weak match on the {other}"
+        elif self.kind.kind == "wab":
+            detail = f"{side} weak input {label} has neither a weak input match nor a buffered-output match on the {other}"
+        else:
+            detail = f"{side} performs input {label} which the {other} side cannot weakly match"
+        return label, detail, near_miss
 
     # --- evaluation -------------------------------------------------
 
@@ -445,85 +449,150 @@ class _Engine:
             return _TAINT
         raise AssertionError(ob)
 
-    def refine(self, strict: bool):
-        live = set(self.table)
-        blames = {}
-        changed = True
-        while changed:
-            changed = False
-            for pair in sorted(live):
-                fails = []
-                tainted = False
-                for ob in self.table[pair]:
-                    s = self._eval(ob, live)
-                    if s == _FAIL:
-                        fails.append(ob[-1])
-                    elif s == _TAINT:
-                        tainted = True
-                if fails or (strict and tainted):
-                    live.discard(pair)
-                    changed = True
-                    if fails:
-                        blames[pair] = tuple(b for b in fails if b is not None)
-        return live, blames
+    def explore(self, roots) -> list:
+        """Build obligations for every pair reachable from `roots` that was
+        not explored before; returns those pairs."""
+        new = []
+        stack = list(roots)
+        while stack:
+            pair = stack.pop()
+            if pair in self.deps:
+                continue
+            deps = self.deps[pair] = tuple(_named_pairs(self.obligations(pair), set()))
+            new.append(pair)
+            stack.extend(q for q in deps if q not in self.deps)
+        return new
+
+    def refine(self, pairs, strict: bool, dead: dict) -> tuple:
+        """Remove the pairs of `pairs` that fail a clause (or, when strict,
+        are tainted), as sweeps over them in sorted order would, repeated
+        until a sweep removes nothing.
+
+        Pairs outside `pairs` are already decided: `dead` maps those that
+        are removed to their sweep round (0: before the first sweep), and
+        the rest stay live.  A pair is evaluated in the first sweep and
+        again only in the first sweep that reaches it after a pair it names
+        was removed, so each removal falls in the same round, with the same
+        blames, as in a sweep over every pair.  Returns (rounds, blames) of
+        the pairs removed here."""
+        todo = set(pairs)
+        users = {}
+        for pair in todo:
+            for q in self.deps[pair]:
+                users.setdefault(q, []).append(pair)
+        live = todo | {q for q in users if dead.get(q, 1) > 0}
+        events = sorted((dead[q], q) for q in users if dead.get(q, 0) > 0)
+        rounds, blames = {}, {}
+        due = sorted(todo)  # a sorted list is a heap
+        queued = set(todo)
+        later = set()
+        rnd, ev = 1, 0
+        while True:
+            while due or (ev < len(events) and events[ev][0] == rnd):
+                if ev < len(events) and events[ev][0] == rnd and (not due or events[ev][1] < due[0]):
+                    gone = events[ev][1]
+                    ev += 1
+                else:
+                    gone = heapq.heappop(due)
+                    queued.discard(gone)
+                    fails, tainted = self._status(gone, live)
+                    if not (fails or (strict and tainted)):
+                        continue
+                    rounds[gone] = rnd
+                    blames[gone] = tuple(fails)
+                live.discard(gone)
+                for user in users.get(gone, ()):
+                    if user not in live:
+                        continue
+                    if user < gone:
+                        later.add(user)
+                    elif user not in queued:
+                        queued.add(user)
+                        heapq.heappush(due, user)
+            if not later and ev == len(events):
+                return rounds, blames
+            rnd += 1
+            due, queued, later = sorted(later), later, set()
+
+    def _status(self, pair, live) -> tuple:
+        fails = []
+        tainted = False
+        for ob in self.obligations(pair):
+            s = self._eval(ob, live)
+            if s == _FAIL:
+                fails.append(ob[-1])
+            elif s == _TAINT:
+                tainted = True
+        return fails, tainted
+
+    def settle(self, roots) -> list:
+        """Explore from `roots` and run the loose refinement over the new
+        pairs; returns them."""
+        new = self.explore(roots)
+        rounds, blames = self.refine(new, False, self.removed)
+        self.removed.update(rounds)
+        self.blames.update(blames)
+        return new
 
     def audit(self, live) -> tuple:
         """Replay every clause against a fixed relation; returns definite
         violations (frontier-induced unknowns are not violations)."""
         bad = []
         for pair in sorted(live):
-            for ob in self.table[pair]:
-                s = self._eval(ob, live)
-                if s == _FAIL:
-                    blame = ob[-1]
-                    bad.append((pair, s, blame.category if blame else "frontier"))
+            for ob in self.obligations(pair):
+                if self._eval(ob, live) == _FAIL:
+                    bad.append((pair, _FAIL, ob[-1].category))
         return tuple(bad)
 
-    def witness(self, blames) -> Optional[Witness]:
+    def witness(self) -> Witness:
+        """Counterexample once the loose refinement removed the root pair
+        (so level 0 already holds a blame).
+
+        Of all blames of removed pairs, the one with the lowest (category
+        rank, BFS distance in the product of the fragments, pair, index)
+        wins.  The product is walked level by level, settling each level's
+        pairs, and the walk stops after the first level that holds a blame
+        of the lowest category the kind can produce."""
+        floor = _CATEGORY_RANK[_LOWEST_CATEGORY.get(self.kind.kind, "barb")]
         dist = {(0, 0): 0}
         parent = {}
-        dq = deque([(0, 0)])
-        while dq:
-            i, j = dq.popleft()
-            here = dist[(i, j)]
-            for a, i2 in self.fa.edges_from(i):
-                np = (i2, j)
-                if np not in dist:
-                    dist[np] = here + 1
-                    parent[np] = ((i, j), WitnessStep("left", render_label(a)))
-                    dq.append(np)
-            for b, j2 in self.fb.edges_from(j):
-                np = (i, j2)
-                if np not in dist:
-                    dist[np] = here + 1
-                    parent[np] = ((i, j), WitnessStep("right", render_label(b)))
-                    dq.append(np)
+        level = [(0, 0)]
         best = None
-        for pair in sorted(blames):
-            if pair not in dist:
-                continue
-            for k, blame in enumerate(blames[pair]):
-                rank = (_CATEGORY_RANK[blame.category], dist[pair], pair, k)
-                if best is None or rank < best[0]:
-                    best = (rank, pair, blame)
-        if best is None:
-            return None
+        while level:
+            self.settle(level)
+            for pair in level:
+                for k, blame in enumerate(self.blames.get(pair, ())):
+                    rank = (_CATEGORY_RANK[blame.category], dist[pair], pair, k)
+                    if best is None or rank < best[0]:
+                        best = (rank, pair, blame)
+            if best[0][0] == floor:
+                break
+            nxt = []
+            for i, j in level:
+                moves = [("left", a, (i2, j)) for a, i2 in self.fa.edges_from(i)]
+                moves += [("right", b, (i, j2)) for b, j2 in self.fb.edges_from(j)]
+                for side, a, np in moves:
+                    if np not in dist:
+                        dist[np] = dist[(i, j)] + 1
+                        parent[np] = ((i, j), side, a)
+                        nxt.append(np)
+            level = nxt
         _, pair, blame = best
         steps = []
         cur = pair
         while cur != (0, 0):
-            prev, step = parent[cur]
-            steps.append(step)
-            cur = prev
+            cur, side, a = parent[cur]
+            steps.append(WitnessStep(side, render_label(a)))
         steps.reverse()
+        label, detail, near_miss = self._render(blame)
         return Witness(
             steps=tuple(steps),
             pair=(render_term(self.fa.states[pair[0]]), render_term(self.fb.states[pair[1]])),
             side=blame.side,
             category=blame.category,
-            label=blame.label,
-            detail=blame.detail,
-            near_miss=blame.near_miss,
+            label=label,
+            detail=detail,
+            near_miss=near_miss,
         )
 
 
@@ -560,20 +629,25 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
         rel = tuple((s, s) for s in frag.states)
         return Verdict("related", relation=rel, approximations=approx)
     eng = _build_engine(kind, p, q, depth)
-    strict_live, _ = eng.refine(strict=True)
-    if (0, 0) in strict_live:
-        rel = tuple(
-            (eng.fa.states[i], eng.fb.states[j]) for i, j in sorted(strict_live)
+    closure = eng.settle([(0, 0)])
+    if (0, 0) in eng.removed:
+        return Verdict("not_related", witness=eng.witness(), approximations=approx)
+    # the strict fixpoint lies inside the loose one, so the strict
+    # refinement starts from the loose survivors
+    survivors = [pair for pair in closure if pair not in eng.removed]
+    failed, _ = eng.refine(survivors, True, dict.fromkeys(eng.removed, 0))
+    if (0, 0) in failed:
+        return Verdict(
+            "unknown",
+            reason="bounded exploration hit a frontier or left the built fragments",
+            approximations=approx,
         )
-        return Verdict("related", relation=rel, approximations=approx)
-    loose_live, blames = eng.refine(strict=False)
-    if (0, 0) not in loose_live:
-        return Verdict("not_related", witness=eng.witness(blames), approximations=approx)
-    return Verdict(
-        "unknown",
-        reason="bounded exploration hit a frontier or left the built fragments",
-        approximations=approx,
+    rel = tuple(
+        (eng.fa.states[i], eng.fb.states[j])
+        for i, j in sorted(survivors)
+        if (i, j) not in failed
     )
+    return Verdict("related", relation=rel, approximations=approx)
 
 
 def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relation) -> tuple:

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from _oracle import enum_terms, oracle_classes, scramble
 from piworkbench.congruence import congruent, normalize, unfold_once
 from piworkbench.syntax import NIL, Name, free_names, size
@@ -58,11 +56,6 @@ def test_normalize_idempotent_examples():
     ]:
         n = normalize(parse_term(t))
         assert normalize(n) == n
-
-
-def test_normalize_budget_validated():
-    with pytest.raises(ValueError):
-        normalize(NIL, -1)
 
 
 def test_unfold_once_positions():

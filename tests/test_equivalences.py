@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from _oracle import enum_terms, oracle_bisim
+from piworkbench import equivalences
+from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.equivalences import (AWBB, EWB, SRWRB, WAB, WBB, WCB, WOT,
                                       RelationKind, audit_relation,
@@ -207,3 +210,107 @@ def test_checker_agrees_with_naive_fixpoint_oracle():
             want = oracle_bisim(kind, p, q)
             assert got.status == ("related" if want else "not_related"), (
                 kind, render_term(p), render_term(q), got.status, want)
+
+
+def test_engine_builds_obligations_only_near_the_root(monkeypatch):
+    built = []
+    build = equivalences._build_engine
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(equivalences, "_build_engine", recording)
+    anchor = parse_term("b!b.b!b | b?(c).c!b | b?(c).c!a.c!b")
+    v = check_bisim(EWB, anchor, encode(Boudol, anchor), 4)
+    assert v.is_not_related and v.witness.category == "input-move"
+    (eng,) = built
+    assert len(eng.table) * 10 < len(eng.fa.states) * len(eng.fb.states)
+
+
+def _reachable_pairs(eng) -> set:
+    """Pairs reachable from the root pair through the pairs obligations name."""
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        for q in equivalences._named_pairs(eng.obligations(stack.pop()), set()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
+def test_related_relations_stay_within_the_root_closure():
+    cfg = GenConfig(seed=44, max_size=6, allow_replication=False,
+                    communication_bias=0.8, insert_success_probability=0.2)
+    related = 0
+    for term in generate_corpus(cfg, 12):
+        for scheme in (Boudol, HondaTokoro):
+            image = encode(scheme, term)
+            for kind in (WAB, WOT, WBB, WCB, SRWRB, RelationKind("wbb", branching=True)):
+                v = check_bisim(kind, term, image, 6)
+                if not v.is_related or normalize(term) == normalize(image):
+                    continue
+                related += 1
+                fresh = equivalences._build_engine(kind, term, image, 6)
+                reach = {(fresh.fa.states[i], fresh.fb.states[j])
+                         for i, j in _reachable_pairs(fresh)}
+                assert (fresh.fa.states[0], fresh.fb.states[0]) in v.relation
+                assert set(v.relation) <= reach
+                assert audit_relation(kind, term, image, 6, v.relation) == ()
+    assert related > 20
+
+
+def _sweep_every_pair(eng, strict):
+    """Reference refinement: sweep every pair in sorted order, as often as
+    a sweep removes something; returns the removal round and the blames
+    of each removed pair."""
+    live = set(eng.table)
+    rounds, blames = {}, {}
+    rnd, changed = 0, True
+    while changed:
+        rnd, changed = rnd + 1, False
+        for pair in sorted(live):
+            fails = [ob[-1] for ob in eng.table[pair] if eng._eval(ob, live) == "fail"]
+            tainted = any(eng._eval(ob, live) == "taint" for ob in eng.table[pair])
+            if fails or (strict and tainted):
+                live.discard(pair)
+                rounds[pair], blames[pair] = rnd, tuple(fails)
+                changed = True
+    return rounds, blames
+
+
+def _random_game(rng, n):
+    """An engine over n x n pairs with random clause obligations."""
+    eng = object.__new__(equivalences._Engine)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    eng.table = {}
+    for pair in pairs:
+        obs = [("static", "taint", None)] if rng.random() < 0.15 else []
+        for k in range(rng.randint(0, 3)):
+            entries = [("pair", rng.choice(pairs)) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.2:
+                entries.append(("pair2", rng.choice(pairs), rng.choice(pairs)))
+            blame = equivalences.Blame("left", "tau-move", k)
+            obs.append(("exists", tuple(entries), rng.random() < 0.9, blame))
+        eng.table[pair] = tuple(obs)
+    eng.deps, eng.removed, eng.blames = {}, {}, {}
+    return eng, pairs
+
+
+def test_refine_in_batches_matches_sweeps_over_every_pair():
+    rng = random.Random(45)
+    for _ in range(200):
+        eng, pairs = _random_game(rng, rng.randint(2, 6))
+        want_rounds, want_blames = _sweep_every_pair(eng, strict=False)
+        # settle a few roots at a time, as the verdict and witness passes do
+        order = pairs[:]
+        rng.shuffle(order)
+        while order:
+            eng.settle([order.pop() for _ in range(min(len(order), rng.randint(1, 4)))])
+        assert eng.removed == want_rounds
+        assert eng.blames == want_blames
+        survivors = [pair for pair in pairs if pair not in eng.removed]
+        failed, _ = eng.refine(survivors, True, dict.fromkeys(eng.removed, 0))
+        strict_rounds, _ = _sweep_every_pair(eng, strict=True)
+        assert set(failed) | set(eng.removed) == set(strict_rounds)
