@@ -14,11 +14,11 @@ import sys
 from typing import Optional
 
 from .congruence import normalize
-from .correspondence import (Criterion, check_completeness, check_lemma,
-                             check_soundness)
+from .correspondence import check_lemma
 from .encodings import encode, scheme_from_string
 from .equivalences import RelationKind, check_bisim
-from .harness import CheckSpec, GenConfig, Limits, generate_corpus, run_suite
+from .harness import (CHECKS, CheckSpec, GenConfig, Limits, SuiteReport,
+                      generate_corpus, run_suite)
 from .observables import strong_barbs, weak_barbs
 from .semantics import LtsFragment, Tau, build_fragment, render_label
 from .text import ParseError, parse_term, render_term
@@ -54,10 +54,12 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _status_exit(counts) -> int:
-    if counts["fail"]:
+def _emit_report(report: SuiteReport) -> int:
+    """Print a report envelope; the exit code follows its summary."""
+    _emit(report.to_dict())
+    if report.failed:
         return EXIT_FAIL
-    if counts["unknown"]:
+    if report.unknown:
         return EXIT_UNKNOWN
     return EXIT_PASS
 
@@ -154,64 +156,23 @@ def _cmd_validate(args) -> int:
         "corpus_size": args.corpus_size,
         "max_size": args.max_size,
     }
-    report = run_suite(corpus, [spec], Limits(depth=args.depth), config)
-    _emit(report.to_dict())
-    return _status_exit({"fail": report.failed, "unknown": report.unknown})
+    return _emit_report(run_suite(corpus, [spec], Limits(depth=args.depth), config))
 
 
 def _cmd_correspondence(args) -> int:
     term = _read_term(args.file, allow_reserved=False)
     scheme = scheme_from_string(args.scheme)
-    crit = Criterion(args.criterion)
-    if args.criterion == "c":
-        rep = check_completeness(scheme, term)
-    else:
-        rep = check_soundness(crit, scheme, term, args.depth)
-    _emit(
-        {
-            "config": {"command": "correspondence", "criterion": args.criterion,
-                       "scheme": args.scheme, "depth": args.depth},
-            "reports": [
-                {
-                    "check_id": rep.check_id,
-                    "instance": dict(rep.instance),
-                    "status": rep.status,
-                    "details": json.loads(json.dumps(rep.details, default=str)),
-                }
-            ],
-            "summary": {
-                "pass": int(rep.status == "pass"),
-                "fail": int(rep.status == "fail"),
-                "unknown": int(rep.status == "unknown"),
-            },
-        }
-    )
-    return _status_exit({"fail": rep.status == "fail", "unknown": rep.status == "unknown"})
+    rep = CHECKS["criterion"](term, scheme, args.depth, {"criterion": args.criterion})
+    config = {"command": "correspondence", "criterion": args.criterion,
+              "scheme": args.scheme, "depth": args.depth}
+    return _emit_report(SuiteReport((rep,), config))
 
 
 def _cmd_lemma(args) -> int:
     term = _read_term(args.file, args.allow_reserved)
     rep = check_lemma(args.id, term, args.depth, scheme_from_string(args.scheme))
-    _emit(
-        {
-            "config": {"command": "lemma", "id": args.id, "scheme": args.scheme,
-                       "depth": args.depth},
-            "reports": [
-                {
-                    "check_id": rep.check_id,
-                    "instance": dict(rep.instance),
-                    "status": rep.status,
-                    "details": json.loads(json.dumps(rep.details, default=str)),
-                }
-            ],
-            "summary": {
-                "pass": int(rep.status == "pass"),
-                "fail": int(rep.status == "fail"),
-                "unknown": int(rep.status == "unknown"),
-            },
-        }
-    )
-    return _status_exit({"fail": rep.status == "fail", "unknown": rep.status == "unknown"})
+    config = {"command": "lemma", "id": args.id, "scheme": args.scheme, "depth": args.depth}
+    return _emit_report(SuiteReport((rep,), config))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,8 +4,9 @@ The normal form at every parallel level is a block of restrictions (in
 positional order) over a flat, text-sorted multiset of components, with
 0-units, void restrictions and alpha-variance removed.  Two terms are
 congruent iff their normal forms are syntactically identical; replication
-unfolding (!P == P | !P) is not part of the normal form but searched up
-to a budget in `congruent`.
+unfolding (!P == P | !P) is not part of the normal form: `congruent`
+explores the normal forms of unfoldings breadth-first, up to a budget,
+with the shared explorer (`explore`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 from functools import lru_cache
 from typing import Iterator
 
+from .explore import explore, unlabelled
 from .syntax import (NIL, Hole, Input, Name, Nil, Output, Par, Process, Repl,
                      Restrict, Success, _free, substitute_all)
 from .text import render_term
@@ -236,20 +238,8 @@ def unfold_once(p: Process) -> frozenset:
 
 
 def _variants(p: Process, budget: int) -> frozenset:
-    seen = {_normalize(p)}
-    frontier = set(seen)
-    for _ in range(budget):
-        nxt = set()
-        for t in frontier:
-            for u in unfold_once(t):
-                c = _normalize(u)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.add(c)
-        frontier = nxt
-        if not frontier:
-            break
-    return frozenset(seen)
+    step = unlabelled(lambda t: map(_normalize, unfold_once(t)))
+    return frozenset(explore(_normalize(p), step, budget).states)
 
 
 def congruent(p: Process, q: Process, unfold_budget: int = 0) -> bool:

@@ -10,6 +10,7 @@ from .congruence import congruent, normalize, unfold_once
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
+from .explore import explore, unlabelled
 from .semantics import reduce_once
 from .syntax import (NIL, Input, Nil, Output, Par, Process, Restrict,
                      _free, alpha_eq, is_async, substitute, substitute_all)
@@ -108,35 +109,7 @@ def inert_steps(p: Process) -> frozenset:
 
 def inert_closure(p: Process, depth: int) -> frozenset:
     """Canonical terms reachable by at most `depth` inert steps."""
-    seen = {normalize(p)}
-    frontier = set(seen)
-    for _ in range(depth):
-        nxt = set()
-        for t in frontier:
-            for u in inert_steps(t):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.add(u)
-        frontier = nxt
-        if not frontier:
-            break
-    return frozenset(seen)
-
-
-def _tau_reachable(p: Process, bound: int) -> list:
-    """Canonical states reachable within `bound` reductions, with their
-    distance, in BFS order."""
-    root = normalize(p)
-    dist = {root: 0}
-    order = [root]
-    for t in order:  # `order` grows while it is walked: a FIFO queue
-        if dist[t] >= bound:
-            continue
-        for u in reduce_once(t):
-            if u not in dist:
-                dist[u] = dist[t] + 1
-                order.append(u)
-    return [(t, dist[t]) for t in order]
+    return frozenset(explore(normalize(p), unlabelled(inert_steps), depth).states)
 
 
 LEMMA_IDS = ("l1", "l2", "l2star", "pb", "l5", "l6")
@@ -229,13 +202,13 @@ def check_lemma(
 
 def _completeness_report(check_id, scheme, term, bound, instance, match_related=None, eq_depth=8):
     image = normalize(encode(scheme, term))
-    reach = _tau_reachable(image, bound)
+    reach = explore(image, unlabelled(reduce_once), bound)
     per_reduct = []
     ok = True
     for p2 in reduce_once(normalize(term)):
         target = _encode(scheme, p2)
         hit = None
-        for state, d in reach:
+        for state, d in zip(reach.states, reach.dist):
             if match_related is None:
                 matched = congruent(state, target, 1)
             else:
@@ -277,20 +250,21 @@ def check_soundness(
     tag = criterion.tag
     instance = {"criterion": tag, "scheme": scheme.tag, "term": render_term(term), "depth": depth}
     if tag in ("c", "cp"):
-        rep = _completeness_report(
+        return _completeness_report(
             f"criterion-{tag}",
             scheme,
             term,
             PROTOCOL_STEPS[scheme],
             instance,
-            match_related=None if criterion.equivalence is None else criterion.equivalence,
+            match_related=criterion.equivalence,
         )
-        return rep
 
     image = normalize(encode(scheme, term))
     factor = PROTOCOL_STEPS[scheme]
-    source_states = _tau_reachable(normalize(term), depth)
-    source_images = [(_encode(scheme, s), s) for s, _ in source_states]
+    tau = unlabelled(reduce_once)
+    source_images = [
+        _encode(scheme, s) for s in explore(normalize(term), tau, depth).states
+    ]
 
     if tag == "i":
         failures = []
@@ -302,27 +276,23 @@ def check_soundness(
         status = "fail" if failures else "pass"
         return CheckReport("criterion-i", instance, status, {"failures": failures})
 
-    targets = _tau_reachable(image, factor * depth)
-    exhaustive = all(
-        d < factor * depth or not reduce_once(state) for state, d in targets
-    )
+    targets = explore(image, tau, factor * depth)
+    exhaustive = not any(reduce_once(targets.states[i]) for i in targets.horizon)
     failures = []
     undecided = []
-    for t, _ in targets:
+    for t in targets.states:
         saw_unknown = False
         matched = False
         if tag == "s":
-            reach_t = _tau_reachable(t, factor * depth)
+            reach_t = explore(normalize(t), tau, factor * depth)
             matched = any(
-                congruent(u, img, 1) for u, _ in reach_t for img, _ in source_images
+                congruent(u, img, 1) for u in reach_t.states for img in source_images
             )
             if not matched:
-                saw_unknown = any(
-                    d >= factor * depth and reduce_once(u) for u, d in reach_t
-                )
+                saw_unknown = any(reduce_once(reach_t.states[i]) for i in reach_t.horizon)
         elif tag == "w":
             eq = criterion.equivalence or SRWRB
-            for img, _ in source_images:
+            for img in source_images:
                 v = check_bisim(eq, t, img, depth)
                 if v.is_related:
                     matched = True
@@ -330,9 +300,8 @@ def check_soundness(
                 saw_unknown = saw_unknown or v.is_unknown
         else:  # g
             eq = criterion.equivalence or SRWRB
-            reach_t = _tau_reachable(t, factor * depth)
-            for u, _ in reach_t:
-                for img, _ in source_images:
+            for u in explore(normalize(t), tau, factor * depth).states:
+                for img in source_images:
                     v = check_bisim(eq, u, img, depth)
                     if v.is_related:
                         matched = True
@@ -355,7 +324,7 @@ def check_soundness(
         f"criterion-{tag}",
         instance,
         status,
-        {"failures": failures, "undecided": undecided, "targets": len(targets)},
+        {"failures": failures, "undecided": undecided, "targets": len(targets.states)},
     )
 
 

@@ -17,12 +17,12 @@ root and rendered only once chosen.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .congruence import normalize
+from .explore import Exploration
 from .observables import CHAN, IN, OUT, SUCC, strong_barbs
 from .semantics import (BoundOutput, FreeOutput, InputLab, LtsFragment, Tau,
                         build_fragment, render_label, universe_fresh_names)
@@ -124,8 +124,17 @@ class Verdict:
         return self.status == "unknown"
 
 
-def saturate(frag: LtsFragment, mode: str = "weak") -> LtsFragment:
-    """Attach weak-transition data to a fragment.
+class Saturation(NamedTuple):
+    """Weak-transition data of one fragment, per state: its tau* closure as
+    (frozenset of indices, closed) and, in weak mode, its =alpha=> moves as
+    (moves, complete) with move = (Label, target index)."""
+
+    tau_closure: tuple
+    weak_moves: Optional[tuple]
+
+
+def saturate(frag: LtsFragment, mode: str = "weak") -> Saturation:
+    """Weak-transition data of a fragment.
 
     Weak mode precomputes tau* closures and the composed =alpha=> moves;
     branching mode keeps single steps and exposes tau* reachability only.
@@ -140,7 +149,7 @@ def saturate(frag: LtsFragment, mode: str = "weak") -> LtsFragment:
         stack = [i]
         while stack:
             j = stack.pop()
-            for a, t in frag.edges_from(j):
+            for a, t in frag.out[j]:
                 if isinstance(a, Tau) and t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -152,7 +161,7 @@ def saturate(frag: LtsFragment, mode: str = "weak") -> LtsFragment:
             cl, complete = closures[i]
             moves = set()
             for j in cl:
-                for a, k in frag.edges_from(j):
+                for a, k in frag.out[j]:
                     if isinstance(a, Tau):
                         continue
                     clk, closedk = closures[k]
@@ -162,10 +171,11 @@ def saturate(frag: LtsFragment, mode: str = "weak") -> LtsFragment:
             ordered = tuple(sorted(moves, key=lambda m: (render_label(m[0]), m[1])))
             weak.append((ordered, complete))
         weak = tuple(weak)
-    return dataclasses.replace(frag, tau_closure=tuple(closures), weak_moves=weak)
+    return Saturation(tuple(closures), weak)
 
 
 _OK, _FAIL, _TAINT = "ok", "fail", "taint"
+_OTHER = {"left": "right", "right": "left"}
 
 _CATEGORY_RANK = {
     "input-move": 0,
@@ -190,15 +200,15 @@ class Blame(NamedTuple):
     y: int = 0  # the other side's state, whose weak moves are the near misses
 
 
-def _divergence_status(frag: LtsFragment) -> list:
+def _divergence_status(frag: LtsFragment, sat: Saturation) -> list:
     cyclic = set()
     for i in range(len(frag.states)):
-        for a, t in frag.edges_from(i):
-            if isinstance(a, Tau) and i in frag.tau_closure[t][0]:
+        for a, t in frag.out[i]:
+            if isinstance(a, Tau) and i in sat.tau_closure[t][0]:
                 cyclic.add(i)
     out = []
     for i in range(len(frag.states)):
-        cl, closed = frag.tau_closure[i]
+        cl, closed = sat.tau_closure[i]
         if cl & cyclic:
             out.append("yes")
         elif closed:
@@ -237,6 +247,8 @@ class _Engine:
         self.fb = fb
         self.wset = wset
         self.sides = {"left": (fa, fb), "right": (fb, fa)}
+        mode = "branching" if kind.branching else "weak"
+        self.sat = {"left": saturate(fa, mode), "right": saturate(fb, mode)}
         if kind.reduction_based:
             obs_kinds = _OBSERVED[kind.kind]
             self.obs = {
@@ -250,12 +262,14 @@ class _Engine:
             for s, (frag, _) in self.sides.items():
                 per = []
                 for i in range(len(frag.states)):
-                    cl, closed = frag.tau_closure[i]
+                    cl, closed = self.sat[s].tau_closure[i]
                     found = frozenset().union(*(self.obs[s][j] for j in cl))
                     per.append((found, closed))
                 self.weak_obs[s] = per
         if kind.divergence_preserving:
-            self.div = {s: _divergence_status(frag) for s, (frag, _) in self.sides.items()}
+            self.div = {
+                s: _divergence_status(frag, self.sat[s]) for s, (frag, _) in self.sides.items()
+            }
         self.table = {}  # pair -> clause obligations, built on demand
         self.deps = {}  # explored pair -> the pairs its obligations name
         self.removed = {}  # pair -> sweep round of its removal by the loose refinement
@@ -292,22 +306,21 @@ class _Engine:
         return tuple(obs)
 
     def _barb_obligations(self, side: str, x: int, y: int):
-        other = "right" if side == "left" else "left"
-        found, closed = self.weak_obs[other][y]
+        found, closed = self.weak_obs[_OTHER[side]][y]
         for b in sorted(self.obs[side][x]):
             if b in found:
                 continue
             yield ("static", _FAIL if closed else _TAINT, Blame(side, "barb", b))
 
     def _tau_obligations(self, side: str, x: int, y: int, fx: LtsFragment, fy: LtsFragment):
-        cly, closedy = fy.tau_closure[y]
-        for a, x2 in fx.edges_from(x):
+        cly, closedy = self.sat[_OTHER[side]].tau_closure[y]
+        for a, x2 in fx.out[x]:
             if not isinstance(a, Tau):
                 continue
             if self.kind.branching:
                 entries = [("pair", self._key(side, x2, y))]
                 for y1 in sorted(cly):
-                    for b, y2 in fy.edges_from(y1):
+                    for b, y2 in fy.out[y1]:
                         if isinstance(b, Tau):
                             entries.append(
                                 ("pair2", self._key(side, x, y1), self._key(side, x2, y2))
@@ -316,13 +329,14 @@ class _Engine:
                 entries = [("pair", self._key(side, x2, y2)) for y2 in sorted(cly)]
             yield ("exists", tuple(entries), closedy, Blame(side, "tau-move", a))
 
-    def _near_miss(self, fy: LtsFragment, y: int, chan) -> tuple:
-        moves, _ = fy.weak_moves[y]
+    def _near_miss(self, side: str, y: int, chan) -> tuple:
+        moves, _ = self.sat[side].weak_moves[y]
         return tuple(sorted({render_label(a) for a, _ in moves if getattr(a, "chan", None) == chan}))
 
     def _label_obligations(self, side: str, x: int, y: int, fx: LtsFragment, fy: LtsFragment):
-        ymoves, ycomplete = fy.weak_moves[y]
-        for a, x2 in fx.edges_from(x):
+        sy = self.sat[_OTHER[side]]
+        ymoves, ycomplete = sy.weak_moves[y]
+        for a, x2 in fx.out[x]:
             if isinstance(a, Tau):
                 continue
             if isinstance(a, FreeOutput):
@@ -340,14 +354,14 @@ class _Engine:
             elif isinstance(a, InputLab) and self.kind.kind == "ewb":
                 yield self._input_obligation(side, x2, a, y, fx, fy, ymoves, ycomplete)
         if self.kind.kind == "wab":
-            xmoves, xcomplete = fx.weak_moves[x]
+            xmoves, xcomplete = self.sat[side].weak_moves[x]
             if not xcomplete:
                 yield ("static", _TAINT, None)
             for a, x2 in xmoves:
                 if not isinstance(a, InputLab):
                     continue
                 branch_a = self._input_obligation(side, x2, a, y, fx, fy, ymoves, ycomplete)
-                cly, closedy = fy.tau_closure[y]
+                cly, closedy = sy.tau_closure[y]
                 entries = []
                 for y2 in sorted(cly):
                     buffered = normalize(Par(fy.states[y2], Output(a.chan, a.datum, NIL)))
@@ -362,7 +376,7 @@ class _Engine:
         return self._resolve(side, fx, fy, x2, aligned)
 
     def _resolve(self, side, fx, fy, x2, term: Process):
-        j2 = fy.index_of(term)
+        j2 = fy.index.get(term)
         if j2 is not None:
             return ("pair", self._key(side, x2, j2))
         if fx.states[x2] == term:
@@ -381,8 +395,8 @@ class _Engine:
                 if u1 == u2:
                     entries.append(("ok",))
                     continue
-                i2 = fx.index_of(u1)
-                j2 = fy.index_of(u2)
+                i2 = fx.index.get(u1)
+                j2 = fy.index.get(u2)
                 if i2 is not None and j2 is not None:
                     entries.append(("pair", self._key(side, i2, j2)))
                 else:
@@ -393,7 +407,7 @@ class _Engine:
     def _render(self, blame: Blame) -> tuple:
         """The (label, detail, near-miss labels) of a blame."""
         side, category, subject, y = blame
-        other = "right" if side == "left" else "left"
+        other = _OTHER[side]
         if category == "divergence":
             dx, dy = subject
             return dx, f"left diverges={dx} but right diverges={dy}", ()
@@ -402,7 +416,7 @@ class _Engine:
         if category == "tau-move":
             return "tau", f"a tau step on the {side} cannot be matched weakly", ()
         label = render_label(subject)
-        near_miss = self._near_miss(self.sides[side][1], y, subject.chan)
+        near_miss = self._near_miss(other, y, subject.chan)
         if category == "output-move":
             how = "free" if isinstance(subject, FreeOutput) else "bound"
             detail = f"{side} performs {how} output {label} with no weak match on the {other}"
@@ -554,34 +568,35 @@ class _Engine:
         pairs, and the walk stops after the first level that holds a blame
         of the lowest category the kind can produce."""
         floor = _CATEGORY_RANK[_LOWEST_CATEGORY.get(self.kind.kind, "barb")]
-        dist = {(0, 0): 0}
-        parent = {}
-        level = [(0, 0)]
+
+        def moves(pair):
+            i, j = pair
+            return [(("left", a), (i2, j)) for a, i2 in self.fa.out[i]] + [
+                (("right", b), (i, j2)) for b, j2 in self.fb.out[j]
+            ]
+
+        walk = Exploration((0, 0), moves, len(self.fa.states) * len(self.fb.states))
         best = None
+        level = range(1)
         while level:
-            self.settle(level)
-            for pair in level:
-                for k, blame in enumerate(self.blames.get(pair, ())):
-                    rank = (_CATEGORY_RANK[blame.category], dist[pair], pair, k)
+            self.settle([walk.states[k] for k in level])
+            for k in level:
+                pair = walk.states[k]
+                for idx, blame in enumerate(self.blames.get(pair, ())):
+                    rank = (_CATEGORY_RANK[blame.category], walk.dist[k], pair, idx)
                     if best is None or rank < best[0]:
-                        best = (rank, pair, blame)
+                        best = (rank, k, blame)
             if best[0][0] == floor:
                 break
-            nxt = []
-            for i, j in level:
-                moves = [("left", a, (i2, j)) for a, i2 in self.fa.edges_from(i)]
-                moves += [("right", b, (i, j2)) for b, j2 in self.fb.edges_from(j)]
-                for side, a, np in moves:
-                    if np not in dist:
-                        dist[np] = dist[(i, j)] + 1
-                        parent[np] = ((i, j), side, a)
-                        nxt.append(np)
-            level = nxt
-        _, pair, blame = best
+            n = len(walk.states)
+            walk.grow()
+            level = range(n, len(walk.states))
+        _, k, blame = best
+        pair = walk.states[k]
         steps = []
-        cur = pair
-        while cur != (0, 0):
-            cur, side, a = parent[cur]
+        while k:
+            # the first move into k, in expansion order, is the one that reached it
+            k, (side, a) = next((i, lab) for i in range(k) for lab, t in walk.out[i] if t == k)
             steps.append(WitnessStep(side, render_label(a)))
         steps.reverse()
         label, detail, near_miss = self._render(blame)
@@ -608,8 +623,7 @@ def _build_engine(kind: RelationKind, p: Process, q: Process, depth: int) -> _En
         fa = build_fragment(p, depth, label_mode="all_labels", universe=uni)
         fb = build_fragment(q, depth, label_mode="all_labels", universe=uni)
         wset = tuple(sorted(shared_free | {extras[0]}))
-    mode = "branching" if kind.branching else "weak"
-    return _Engine(kind, saturate(fa, mode), saturate(fb, mode), wset)
+    return _Engine(kind, fa, fb, wset)
 
 
 def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdict:
@@ -659,8 +673,8 @@ def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relat
     live = set()
     bad = []
     for pa, pb in relation:
-        i = eng.fa.index_of(pa)
-        j = eng.fb.index_of(pb)
+        i = eng.fa.index.get(pa)
+        j = eng.fb.index.get(pb)
         if i is None or j is None:
             bad.append(((pa, pb), "fail", "pair outside fragments"))
         else:

@@ -11,7 +11,7 @@ from typing import Mapping, Optional, Sequence
 from .correspondence import (CheckReport, Criterion, check_completeness,
                              check_lemma, check_soundness,
                              check_success_sensitiveness)
-from .encodings import encode, scheme_from_string
+from .encodings import Boudol, encode, scheme_from_string
 from .equivalences import RelationKind, check_bisim
 from .observables import CHAN, IN, OUT, strong_barbs
 from .semantics import diverges
@@ -150,11 +150,26 @@ class Limits:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """Reports in normalised order, with the JSON envelope every command
+    prints: config echo, reports and a pass/fail/unknown summary."""
+
     reports: tuple
-    passed: int
-    failed: int
-    unknown: int
     config: Mapping
+
+    def _count(self, status: str) -> int:
+        return sum(1 for r in self.reports if r.status == status)
+
+    @property
+    def passed(self) -> int:
+        return self._count("pass")
+
+    @property
+    def failed(self) -> int:
+        return self._count("fail")
+
+    @property
+    def unknown(self) -> int:
+        return self._count("unknown")
 
     def to_dict(self) -> dict:
         return {
@@ -182,67 +197,80 @@ def _plain(value):
     return str(value)
 
 
+def _barb_preservation(term, scheme, depth, params) -> CheckReport:
+    want = {b for b in strong_barbs(term) if b.kind in (IN, OUT)}
+    have = {b for b in strong_barbs(encode(scheme, term)) if b.kind in (IN, OUT)}
+    details = {
+        "missing": sorted(str(b) for b in want - have),
+        "extra": sorted(str(b) for b in have - want),
+    }
+    return CheckReport("barb-preservation", {}, "pass" if want == have else "fail", details)
+
+
+def _chan_barb_preservation(term, scheme, depth, params) -> CheckReport:
+    want = {b for b in strong_barbs(term) if b.kind == CHAN}
+    have = {b for b in strong_barbs(encode(scheme, term)) if b.kind == CHAN}
+    return CheckReport("chan-barb-preservation", {}, "pass" if want == have else "fail", {})
+
+
+def _bisim_validity(term, scheme, depth, params) -> CheckReport:
+    rk = RelationKind(
+        params["relation"],
+        bool(params.get("divergence_preserving", False)),
+        bool(params.get("branching", False)),
+    )
+    verdict = check_bisim(rk, term, encode(scheme, term), depth)
+    status = {"related": "pass", "not_related": "fail", "unknown": "unknown"}[verdict.status]
+    details = {"verdict": verdict.status}
+    if verdict.witness is not None:
+        details["witness"] = verdict.witness.describe()
+    return CheckReport("bisim-validity", {}, status, details)
+
+
+def _divergence(term, scheme, depth, params) -> CheckReport:
+    d_src = diverges(term, depth)
+    d_tgt = diverges(encode(scheme, term), depth * 3)
+    if "unknown" in (d_src.status, d_tgt.status):
+        status = "unknown"
+    else:
+        status = "pass" if d_src.status == d_tgt.status else "fail"
+    return CheckReport("divergence", {}, status, {"source": d_src.status, "target": d_tgt.status})
+
+
+def _criterion(term, scheme, depth, params) -> CheckReport:
+    crit = Criterion(params["criterion"], params.get("equivalence"))
+    if crit.tag == "c" and crit.equivalence is None:
+        return check_completeness(scheme, term, params.get("step_bound"))
+    return check_soundness(crit, scheme, term, depth)
+
+
+# check kind -> check(term, scheme, depth, params); the report's instance is
+# merged into the suite's (index, term) instance
+CHECKS = {
+    "barb-preservation": _barb_preservation,
+    "chan-barb-preservation": _chan_barb_preservation,
+    "bisim-validity": _bisim_validity,
+    "success": lambda term, scheme, depth, params: check_success_sensitiveness(
+        scheme, term, depth),
+    "divergence": _divergence,
+    "criterion": _criterion,
+    "lemma": lambda term, scheme, depth, params: check_lemma(
+        params["lemma"], term, depth, Boudol if scheme is None else scheme),
+}
+
+
 def _run_check(spec: CheckSpec, index: int, term: Process, limits: Limits) -> CheckReport:
     params = dict(spec.params)
     scheme = params.get("scheme")
     if isinstance(scheme, str):
         scheme = scheme_from_string(scheme)
     depth = int(params.get("depth", limits.depth))
-    kind = spec.kind
-    base = {"index": index, "term": render_term(term)}
-    if kind == "barb-preservation":
-        want = {b for b in strong_barbs(term) if b.kind in (IN, OUT)}
-        have = {b for b in strong_barbs(encode(scheme, term)) if b.kind in (IN, OUT)}
-        ok = want == have
-        details = {
-            "missing": sorted(str(b) for b in want - have),
-            "extra": sorted(str(b) for b in have - want),
-        }
-        return CheckReport(spec.check_id, base, "pass" if ok else "fail", details)
-    if kind == "chan-barb-preservation":
-        want = {b for b in strong_barbs(term) if b.kind == CHAN}
-        have = {b for b in strong_barbs(encode(scheme, term)) if b.kind == CHAN}
-        ok = want == have
-        return CheckReport(spec.check_id, base, "pass" if ok else "fail", {})
-    if kind == "bisim-validity":
-        rk = RelationKind(
-            params["relation"],
-            bool(params.get("divergence_preserving", False)),
-            bool(params.get("branching", False)),
-        )
-        verdict = check_bisim(rk, term, encode(scheme, term), depth)
-        status = {"related": "pass", "not_related": "fail", "unknown": "unknown"}[verdict.status]
-        details = {"verdict": verdict.status}
-        if verdict.witness is not None:
-            details["witness"] = verdict.witness.describe()
-        return CheckReport(spec.check_id, base, status, details)
-    if kind == "success":
-        rep = check_success_sensitiveness(scheme, term, depth)
-        return CheckReport(spec.check_id, {**base, **rep.instance}, rep.status, rep.details)
-    if kind == "divergence":
-        d_src = diverges(term, depth)
-        d_tgt = diverges(encode(scheme, term), depth * 3)
-        if "unknown" in (d_src.status, d_tgt.status):
-            status = "unknown"
-        else:
-            status = "pass" if d_src.status == d_tgt.status else "fail"
-        return CheckReport(
-            spec.check_id, base, status, {"source": d_src.status, "target": d_tgt.status}
-        )
-    if kind == "criterion":
-        crit = Criterion(params["criterion"], params.get("equivalence"))
-        if crit.tag == "c" and params.get("equivalence") is None:
-            rep = check_completeness(scheme, term, params.get("step_bound"))
-        else:
-            rep = check_soundness(crit, scheme, term, depth)
-        return CheckReport(spec.check_id, {**base, **rep.instance}, rep.status, rep.details)
-    if kind == "lemma":
-        if scheme is not None:
-            rep = check_lemma(params["lemma"], term, depth, scheme)
-        else:
-            rep = check_lemma(params["lemma"], term, depth)
-        return CheckReport(spec.check_id, {**base, **rep.instance}, rep.status, rep.details)
-    raise ValueError(f"malformed check specification: unknown kind {spec.kind!r}")
+    check = CHECKS.get(spec.kind)
+    if check is None:
+        raise ValueError(f"malformed check specification: unknown kind {spec.kind!r}")
+    rep = check(term, scheme, depth, params)
+    instance = {"index": index, "term": render_term(term), **rep.instance}
+    return CheckReport(spec.check_id, instance, rep.status, rep.details)
 
 
 def _worker_count() -> int:
@@ -287,8 +315,4 @@ def run_suite(
     else:
         results = [run(j) for j in jobs]
     results.sort(key=lambda kv: kv[0])
-    reports = tuple(r for _, r in results)
-    passed = sum(1 for r in reports if r.status == "pass")
-    failed = sum(1 for r in reports if r.status == "fail")
-    unknown = sum(1 for r in reports if r.status == "unknown")
-    return SuiteReport(reports, passed, failed, unknown, dict(config or {}))
+    return SuiteReport(tuple(r for _, r in results), dict(config or {}))

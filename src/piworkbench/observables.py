@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .semantics import build_fragment
+from .semantics import tau_exploration
 from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
                      Restrict, Success)
 
@@ -73,8 +73,5 @@ def weak_barbs(p: Process, depth: int) -> tuple:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    frag = build_fragment(p, depth, label_mode="tau_only")
-    found = frozenset()
-    for s in frag.states:
-        found |= strong_barbs(s)
-    return found, not frag.frontier
+    ex, frontier = tau_exploration(p, depth)
+    return frozenset().union(*map(strong_barbs, ex.states)), not frontier

@@ -3,17 +3,21 @@
 Transitions are derived structurally (OUTPUT/INPUT-ACT, PAR, COM, CLOSE,
 RES, OPEN and the three replication rules); the reduction relation is the
 tau fragment of the labelled one, which by the Harmony Lemma represents
-reduction up to structural congruence.
+reduction up to structural congruence.  Fragments, weak barbs and
+divergence are bounded explorations of these steps by the shared explorer
+(`explore`); a fragment is plain data: states, transitions, frontier and
+the explorer's index and out-edges.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Iterable, Optional
 
 from .congruence import normalize
+from .explore import Exploration, explore
 from .syntax import (Input, Name, Output, Par, Process, Repl, Restrict,
                      _free, names, substitute)
 from .text import render_term
@@ -85,10 +89,6 @@ def render_label(a: Label) -> str:
 def _label_key(a: Label):
     order = {Tau: 0, FreeOutput: 1, BoundOutput: 2, InputLab: 3}
     return (order[type(a)],) + tuple(sorted(label_names(a)))
-
-
-class FreshExhausted(RuntimeError):
-    """The universe has no name left that is fresh for the term."""
 
 
 def _raw_transitions(p: Process, w: Name) -> list:
@@ -177,7 +177,9 @@ def _fresh_representative(p: Process, universe: frozenset) -> Optional[Name]:
     return pooled[0] if pooled else cands[0]
 
 
-def _steps(p: Process, universe: frozenset, tau_only: bool) -> tuple:
+def _steps(p: Process, universe: frozenset, tau_only: bool) -> Optional[tuple]:
+    """Canonical moves of `p`, sorted; None when `p` has a visible move but
+    the universe has no name left that is fresh for it."""
     tmp = _temp_bound_name(p)
     raw = _raw_transitions(p, tmp)
     out = set()
@@ -189,7 +191,7 @@ def _steps(p: Process, universe: frozenset, tau_only: bool) -> tuple:
             if rep is None:
                 rep = _fresh_representative(p, universe)
                 if rep is None:
-                    raise FreshExhausted(render_term(p))
+                    return None
             if label_bn(a):
                 a = type(a)(a.chan, rep)
                 t = substitute(t, tmp, rep)
@@ -225,7 +227,9 @@ class LtsFragment:
     """Bounded, canonical fragment of the transition system.
 
     states[0] is the root; transitions hold state indices.  States in
-    `frontier` have derivable successors that were not expanded.
+    `frontier` have derivable successors that were not expanded.  `index`
+    maps a state to its number and `out[i]` holds the (label, target)
+    moves of state i, both as the explorer built them.
     """
 
     states: tuple
@@ -235,28 +239,25 @@ class LtsFragment:
     depth_bound: int
     universe: tuple
     label_mode: str
-    # filled by equivalences.saturate
-    tau_closure: Optional[tuple] = None  # per state: (frozenset of indices, closed)
-    weak_moves: Optional[tuple] = None  # per state: (moves tuple, complete); move = (Label, target)
+    index: dict = field(compare=False, repr=False)
+    out: tuple = field(compare=False, repr=False)
 
-    def index_of(self, term: Process) -> Optional[int]:
-        return self._index().get(term)
 
-    def _index(self) -> dict:
-        idx = getattr(self, "_idx", None)
-        if idx is None:
-            idx = {t: i for i, t in enumerate(self.states)}
-            object.__setattr__(self, "_idx", idx)
-        return idx
+def _frontier(ex: Exploration, moves) -> frozenset:
+    """States of the horizon that have moves: those at the bound with a
+    derivable step, and those that could not be expanded at all."""
+    return frozenset(
+        i for i in ex.horizon if ex.dist[i] < ex.bound or moves(ex.states[i]) != ()
+    )
 
-    def edges_from(self, i: int) -> tuple:
-        out = getattr(self, "_out", None)
-        if out is None:
-            out = {}
-            for s, a, t in self.transitions:
-                out.setdefault(s, []).append((a, t))
-            object.__setattr__(self, "_out", out)
-        return tuple(out.get(i, ()))
+
+_tau_steps = partial(_steps, universe=frozenset(), tau_only=True)
+
+
+def tau_exploration(p: Process, depth: int) -> tuple:
+    """The tau steps of `p` within `depth`, and its frontier."""
+    ex = explore(normalize(p), _tau_steps, depth)
+    return ex, _frontier(ex, _tau_steps)
 
 
 def build_fragment(
@@ -273,51 +274,20 @@ def build_fragment(
         raise ValueError("universe_extra must be >= 1")
     if label_mode not in ("all_labels", "tau_only"):
         raise ValueError(f"unknown label_mode {label_mode!r}")
-    tau_only = label_mode == "tau_only"
     root = normalize(p)
-    if universe is None:
-        uni = frozenset(_free(root)) | frozenset(
-            universe_fresh_names(names(root), universe_extra)
-        )
-    else:
-        uni = frozenset(universe)
-
-    states = [root]
-    index = {root: 0}
-    dist = {0: 0}
-    transitions = []
-    frontier = set()
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        i = queue[qpos]
-        qpos += 1
-        try:
-            steps = _steps(states[i], uni, tau_only)
-        except FreshExhausted:
-            frontier.add(i)
-            continue
-        if dist[i] >= depth:
-            if steps:
-                frontier.add(i)
-            continue
-        for a, t in steps:
-            j = index.get(t)
-            if j is None:
-                j = len(states)
-                states.append(t)
-                index[t] = j
-                dist[j] = dist[i] + 1
-                queue.append(j)
-            transitions.append((i, a, j))
+    uni = default_universe(root, universe_extra) if universe is None else frozenset(universe)
+    moves = partial(_steps, universe=uni, tau_only=label_mode == "tau_only")
+    ex = explore(root, moves, depth)
     return LtsFragment(
-        states=tuple(states),
-        transitions=tuple(transitions),
+        states=tuple(ex.states),
+        transitions=tuple((i, a, j) for i, out in enumerate(ex.out) for a, j in out),
         root=0,
-        frontier=frozenset(frontier),
+        frontier=_frontier(ex, moves),
         depth_bound=depth,
         universe=tuple(sorted(uni)),
         label_mode=label_mode,
+        index=ex.index,
+        out=tuple(map(tuple, ex.out)),
     )
 
 
@@ -334,12 +304,12 @@ class Diverges:
         return self.status == "yes"
 
 
-def tau_cycle(frag: LtsFragment, start: int = 0) -> Optional[tuple]:
-    """A tau-cycle reachable from `start` in the fragment, if any."""
-    color = {}
-    stack = [(start, iter([t for a, t in frag.edges_from(start) if isinstance(a, Tau)]))]
+def tau_cycle(graph, start: int = 0) -> Optional[tuple]:
+    """A tau-cycle reachable from `start`, if any, in a fragment or an
+    exploration (anything with `states` and per-state `out` moves)."""
+    color = {start: 1}
+    stack = [(start, iter([t for a, t in graph.out[start] if isinstance(a, Tau)]))]
     path = [start]
-    color[start] = 1
     while stack:
         node, it = stack[-1]
         nxt = next(it, None)
@@ -351,29 +321,29 @@ def tau_cycle(frag: LtsFragment, start: int = 0) -> Optional[tuple]:
         c = color.get(nxt)
         if c == 1:
             k = path.index(nxt)
-            return tuple(frag.states[i] for i in path[k:])
+            return tuple(graph.states[i] for i in path[k:])
         if c is None:
             color[nxt] = 1
             path.append(nxt)
-            stack.append((nxt, iter([t for a, t in frag.edges_from(nxt) if isinstance(a, Tau)])))
+            stack.append((nxt, iter([t for a, t in graph.out[nxt] if isinstance(a, Tau)])))
     return None
 
 
 def diverges(p: Process, depth: int) -> Diverges:
     """Detect a reachable tau-cycle among canonical states.
 
-    Explored by iterative deepening so an early cycle is found without
-    expanding the whole horizon.  Exact when the bounded fragment closed
-    (empty frontier); Unknown when the horizon was hit cycle-free.
+    The tau graph is explored once, level by level, and searched for a
+    cycle after each level, so an early cycle is found without expanding
+    the whole horizon.  Exact when the bounded graph closed (empty
+    frontier); Unknown when the horizon was hit cycle-free.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    frag = None
-    for d in range(1, depth + 1):
-        frag = build_fragment(p, d, label_mode="tau_only")
-        cyc = tau_cycle(frag)
+    ex = Exploration(normalize(p), _tau_steps, depth)
+    while ex.grow():
+        cyc = tau_cycle(ex)
         if cyc is not None:
             return Diverges("yes", cycle=cyc)
-        if not frag.frontier:
-            return Diverges("no")
-    return Diverges("unknown", reason="frontier hit before the tau graph closed")
+    if _frontier(ex, _tau_steps):
+        return Diverges("unknown", reason="frontier hit before the tau graph closed")
+    return Diverges("no")

@@ -28,23 +28,23 @@ def test_kind_validation():
 
 
 def test_saturate_trivial_fragment():
-    frag = saturate(build_fragment(parse_term("0"), 3))
-    assert frag.tau_closure[0] == (frozenset({0}), True)
-    assert frag.weak_moves[0] == ((), True)
+    sat = saturate(build_fragment(parse_term("0"), 3))
+    assert sat.tau_closure[0] == (frozenset({0}), True)
+    assert sat.weak_moves[0] == ((), True)
 
 
 def test_saturate_weak_edge_through_tau():
     # a --tau--> . --x!z--> . gives a weak x!z move from the root
     p = parse_term("y!a | y?(q).x!z")
-    frag = saturate(build_fragment(p, 4))
-    moves, complete = frag.weak_moves[frag.root]
+    frag = build_fragment(p, 4)
+    moves, complete = saturate(frag).weak_moves[frag.root]
     assert complete
     assert any(lab == FreeOutput(x, z) for lab, _ in moves)
 
 
 def test_saturate_boudol_weak_bound_output():
-    frag = saturate(build_fragment(encode(Boudol, XZ), 4, universe_extra=3))
-    moves, _ = frag.weak_moves[frag.root]
+    frag = build_fragment(encode(Boudol, XZ), 4, universe_extra=3)
+    moves, _ = saturate(frag).weak_moves[frag.root]
     assert any(type(lab).__name__ == "BoundOutput" and lab.chan == x for lab, _ in moves)
 
 

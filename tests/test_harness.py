@@ -137,3 +137,25 @@ def test_malformed_check_spec():
     rep = run_suite(corpus, [CheckSpec("oops", "no-such-kind", {})])
     assert rep.failed == 1
     assert "error" in rep.reports[0].details
+
+
+def test_suite_report_independent_of_threads_and_call_history():
+    cfg = GenConfig(seed=23, max_size=7, allow_replication=False, communication_bias=0.8,
+                    insert_success_probability=0.2)
+    corpus = generate_corpus(cfg, 12)
+    checks = [
+        CheckSpec("v-ewb", "bisim-validity", {"scheme": "boudol", "relation": "ewb"}),
+        CheckSpec("crit-w", "criterion", {"scheme": "ht", "criterion": "w", "depth": 2}),
+        CheckSpec("div", "divergence", {"scheme": "ht", "depth": 3}),
+        CheckSpec("l6", "lemma", {"lemma": "l6", "depth": 4}),
+    ]
+
+    def report(terms, specs, threads):
+        with mock.patch.dict(os.environ, {"WORKBENCH_THREADS": threads}):
+            return run_suite(terms, specs, Limits(depth=6), {"seed": 23}).to_dict()
+
+    serial = report(corpus, checks, "1")
+    assert report(corpus, checks, "2") == serial
+    report(corpus[::-1], checks[::-1], "1")
+    assert report(corpus, checks, "1") == serial
+    assert any("witness" in r["details"] for r in serial["reports"])
