@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .congruence import normalize
@@ -611,19 +612,22 @@ class _Engine:
         )
 
 
-def _build_engine(kind: RelationKind, p: Process, q: Process, depth: int) -> _Engine:
+def _fragments(kind: RelationKind, p: Process, q: Process, depth: int) -> tuple:
+    """How a check of p against q builds its fragments: a function from a
+    term to its fragment, over a universe both sides share, and the names
+    input clauses are instantiated with."""
     if kind.reduction_based:
-        fa = build_fragment(p, depth, label_mode="tau_only")
-        fb = build_fragment(q, depth, label_mode="tau_only")
-        wset = ()
-    else:
-        shared_free = _free(p) | _free(q)
-        extras = universe_fresh_names(names(p) | names(q), max(depth, 1))
-        uni = shared_free | frozenset(extras)
-        fa = build_fragment(p, depth, label_mode="all_labels", universe=uni)
-        fb = build_fragment(q, depth, label_mode="all_labels", universe=uni)
-        wset = tuple(sorted(shared_free | {extras[0]}))
-    return _Engine(kind, fa, fb, wset)
+        return partial(build_fragment, depth=depth, label_mode="tau_only"), ()
+    shared_free = _free(p) | _free(q)
+    extras = universe_fresh_names(names(p) | names(q), max(depth, 1))
+    uni = shared_free | frozenset(extras)
+    build = partial(build_fragment, depth=depth, label_mode="all_labels", universe=uni)
+    return build, tuple(sorted(shared_free | {extras[0]}))
+
+
+def _build_engine(kind: RelationKind, p: Process, q: Process, depth: int) -> _Engine:
+    build, wset = _fragments(kind, p, q, depth)
+    return _Engine(kind, build(p), build(q), wset)
 
 
 def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdict:
@@ -635,12 +639,10 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
         raise ValueError("depth must be >= 1")
     approx = (_INPUT_UNIVERSE_NOTE,) if kind.kind in ("ewb", "wab") else ()
     if normalize(p) == normalize(q):
-        # the identity relation is a bisimulation of every kind here,
-        # whatever the exploration bound
-        frag = build_fragment(
-            p, depth, label_mode="tau_only" if kind.reduction_based else "all_labels"
-        )
-        rel = tuple((s, s) for s in frag.states)
+        # the identity relation over the fragment the engine would build is
+        # a bisimulation of every kind here, whatever the exploration bound
+        build, _ = _fragments(kind, p, q, depth)
+        rel = tuple((s, s) for s in build(p).states)
         return Verdict("related", relation=rel, approximations=approx)
     eng = _build_engine(kind, p, q, depth)
     closure = eng.settle([(0, 0)])

@@ -7,8 +7,8 @@ from _oracle import enum_terms, oracle_bisim
 from piworkbench import equivalences
 from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
-from piworkbench.equivalences import (AWBB, EWB, SRWRB, WAB, WBB, WCB, WOT,
-                                      RelationKind, audit_relation,
+from piworkbench.equivalences import (AWBB, EWB, KINDS, SRWRB, WAB, WBB, WCB,
+                                      WOT, RelationKind, audit_relation,
                                       check_bisim, kind_from_string, saturate)
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import FreeOutput, build_fragment
@@ -167,6 +167,26 @@ def test_unknown_when_frontier_blocks():
 def test_ewb_approximation_note_present():
     v = check_bisim(EWB, XZ, XZ, 4)
     assert v.approximations
+
+
+def test_identity_verdicts_pass_audit_for_every_kind():
+    # alpha-variants share a normal form, so the check takes the identity path
+    pairs = [
+        ("x?(y).y?(z).z!y", "x?(u).u?(v).v!u"),
+        ("x?(y).(nu a)(y!a | a?(u).x!u)", "x?(w).(nu b)(w!b | b?(c).x!c)"),
+        ("!(x!a | x?(y).0) | y?(z).z!a", "y?(c).c!a | !(x?(q).0 | x!a)"),
+    ]
+    for left, right in pairs:
+        p, q = parse_term(left), parse_term(right)
+        assert normalize(p) == normalize(q)
+        for kind in KINDS:
+            variants = [RelationKind(kind), RelationKind(kind, divergence_preserving=True)]
+            if kind in ("wbb", "awbb", "wcb", "srwrb"):
+                variants.append(RelationKind(kind, branching=True))
+            for rk in variants:
+                v = check_bisim(rk, p, q, 4)
+                assert v.is_related, (left, rk)
+                assert audit_relation(rk, p, q, 4, v.relation) == (), (left, rk)
 
 
 def test_related_relations_pass_audit():
