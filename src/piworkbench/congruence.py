@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .explore import explore, unlabelled
 from .syntax import (NIL, Hole, Input, Name, Nil, Output, Par, Process, Repl,
-                     Restrict, Success, _free, substitute_all)
+                     Restrict, Success, _free, names, substitute_all)
 from .text import render_term
 
 # a normal form is an ordinary Process whose shape is canonical: per
@@ -81,20 +81,18 @@ def _canon(p: Process, env: tuple, depth: int, skip: frozenset) -> Process:
     return out
 
 
-_tmp_counter = itertools.count()
-
-
-def _peel(p: Process, ren: dict, temps: list, comps: list) -> None:
+def _peel(p: Process, ren: dict, temps: list, comps: list, fresh: Iterator) -> None:
     # Flatten the parallel level, lifting every restriction binder to a
-    # throwaway temp name (pure alpha + maximal outward scope extrusion).
+    # temp name fresh for the level (pure alpha + maximal outward scope
+    # extrusion).
     match p:
         case Par(l, r):
-            _peel(l, ren, temps, comps)
-            _peel(r, ren, temps, comps)
+            _peel(l, ren, temps, comps, fresh)
+            _peel(r, ren, temps, comps, fresh)
         case Restrict(b, body):
-            tmp = Name(f"tmp{next(_tmp_counter)}", reserved=True)
+            tmp = next(fresh)
             temps.append(tmp)
-            _peel(body, {**ren, b: tmp}, temps, comps)
+            _peel(body, {**ren, b: tmp}, temps, comps, fresh)
         case Nil():
             pass
         case _:
@@ -104,7 +102,9 @@ def _peel(p: Process, ren: dict, temps: list, comps: list) -> None:
 def _canon_level(p: Process, env: tuple, depth: int, skip: frozenset) -> Process:
     temps: list = []
     comps: list = []
-    _peel(p, {}, temps, comps)
+    taken = names(p)
+    pool = (Name(f"tmp{i}", reserved=True) for i in itertools.count())
+    _peel(p, {}, temps, comps, (t for t in pool if t not in taken))
     if not comps:
         return NIL
     live = [t for t in temps if any(t in _free(c) for c in comps)]

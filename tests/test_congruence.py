@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from _oracle import enum_terms, oracle_classes, scramble
 from piworkbench.congruence import congruent, normalize, unfold_once
@@ -144,3 +149,26 @@ def test_congruent_true_on_scrambled_larger_terms():
         for _ in range(8):
             q = scramble(p, rng, steps=8)
             assert congruent(p, q, 0)
+
+
+def _temp_named_normal_forms() -> list:
+    """Normal forms of `(nu a)(x!a) | y!%tmpN` for N = 0..5, each after an
+    unrelated normalization."""
+    out = []
+    for n in range(6):
+        normalize(parse_term(f"q{n}?(c).c!a | z!b"))
+        term = parse_term(f"(nu a)(x!a) | y!%tmp{n}", allow_reserved=True)
+        out.append(render_term(normalize(term)))
+    return out
+
+
+def test_normal_form_temps_never_capture_free_names():
+    want = [f"(nu %r0)(x!%r0 | y!%tmp{n})" for n in range(6)]
+    assert _temp_named_normal_forms() == want
+    # the same in a fresh interpreter, where no earlier call has run
+    code = ("import json, test_congruence; "
+            "print(json.dumps(test_congruence._temp_named_normal_forms()))")
+    path = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert json.loads(out) == want
