@@ -11,7 +11,7 @@ from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_o
 from .equivalences import SRWRB, RelationKind, check_bisim
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
 from .explore import explore, unlabelled
-from .semantics import reduce_once
+from .semantics import has_moves, reduce_once
 from .syntax import (NIL, Input, Nil, Output, Par, Process, Restrict,
                      _free, alpha_eq, is_async, substitute, substitute_all)
 from .text import render_term
@@ -277,7 +277,7 @@ def check_soundness(
         return CheckReport("criterion-i", instance, status, {"failures": failures})
 
     targets = explore(image, tau, factor * depth)
-    exhaustive = not any(reduce_once(targets.states[i]) for i in targets.horizon)
+    exhaustive = not any(has_moves(targets.states[i], tau_only=True) for i in targets.horizon)
     failures = []
     undecided = []
     for t in targets.states:
@@ -289,7 +289,9 @@ def check_soundness(
                 congruent(u, img, 1) for u in reach_t.states for img in source_images
             )
             if not matched:
-                saw_unknown = any(reduce_once(reach_t.states[i]) for i in reach_t.horizon)
+                saw_unknown = any(
+                    has_moves(reach_t.states[i], tau_only=True) for i in reach_t.horizon
+                )
         elif tag == "w":
             eq = criterion.equivalence or SRWRB
             for img in source_images:

@@ -243,11 +243,20 @@ class LtsFragment:
     out: tuple = field(compare=False, repr=False)
 
 
-def _frontier(ex: Exploration, moves) -> frozenset:
+def has_moves(p: Process, tau_only: bool) -> bool:
+    """Whether `_steps` gives `p` any move (or None), in any universe:
+    the raw transitions are derived, but no target is normalized."""
+    raw = _raw_transitions(p, _temp_bound_name(p))
+    if tau_only:
+        return any(isinstance(a, Tau) for a, _ in raw)
+    return bool(raw)
+
+
+def _frontier(ex: Exploration, tau_only: bool) -> frozenset:
     """States of the horizon that have moves: those at the bound with a
     derivable step, and those that could not be expanded at all."""
     return frozenset(
-        i for i in ex.horizon if ex.dist[i] < ex.bound or moves(ex.states[i]) != ()
+        i for i in ex.horizon if ex.dist[i] < ex.bound or has_moves(ex.states[i], tau_only)
     )
 
 
@@ -257,7 +266,7 @@ _tau_steps = partial(_steps, universe=frozenset(), tau_only=True)
 def tau_exploration(p: Process, depth: int) -> tuple:
     """The tau steps of `p` within `depth`, and its frontier."""
     ex = explore(normalize(p), _tau_steps, depth)
-    return ex, _frontier(ex, _tau_steps)
+    return ex, _frontier(ex, tau_only=True)
 
 
 def build_fragment(
@@ -276,13 +285,13 @@ def build_fragment(
         raise ValueError(f"unknown label_mode {label_mode!r}")
     root = normalize(p)
     uni = default_universe(root, universe_extra) if universe is None else frozenset(universe)
-    moves = partial(_steps, universe=uni, tau_only=label_mode == "tau_only")
-    ex = explore(root, moves, depth)
+    tau_only = label_mode == "tau_only"
+    ex = explore(root, partial(_steps, universe=uni, tau_only=tau_only), depth)
     return LtsFragment(
         states=tuple(ex.states),
         transitions=tuple((i, a, j) for i, out in enumerate(ex.out) for a, j in out),
         root=0,
-        frontier=_frontier(ex, moves),
+        frontier=_frontier(ex, tau_only),
         depth_bound=depth,
         universe=tuple(sorted(uni)),
         label_mode=label_mode,
@@ -344,6 +353,6 @@ def diverges(p: Process, depth: int) -> Diverges:
         cyc = tau_cycle(ex)
         if cyc is not None:
             return Diverges("yes", cycle=cyc)
-    if _frontier(ex, _tau_steps):
+    if _frontier(ex, tau_only=True):
         return Diverges("unknown", reason="frontier hit before the tau graph closed")
     return Diverges("no")

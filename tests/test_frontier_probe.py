@@ -1,0 +1,93 @@
+"""The frontier probe `has_moves` against the probe it replaced: running the
+full successor function and testing its result against ()."""
+
+from functools import partial
+
+import pytest
+
+from piworkbench.congruence import normalize
+from piworkbench.encodings import Boudol, HondaTokoro, encode
+from piworkbench.explore import Exploration, explore
+from piworkbench.harness import GenConfig, generate_corpus
+from piworkbench.semantics import (Diverges, _steps, _tau_steps,
+                                   build_fragment, default_universe,
+                                   diverges, has_moves, tau_cycle,
+                                   tau_exploration)
+from piworkbench.syntax import _free
+from piworkbench.text import parse_term
+
+
+def _old_frontier(ex, moves) -> frozenset:
+    return frozenset(
+        i for i in ex.horizon if ex.dist[i] < ex.bound or moves(ex.states[i]) != ()
+    )
+
+
+def _old_diverges(p, depth) -> Diverges:
+    ex = Exploration(normalize(p), _tau_steps, depth)
+    while ex.grow():
+        cyc = tau_cycle(ex)
+        if cyc is not None:
+            return Diverges("yes", cycle=cyc)
+    if _old_frontier(ex, _tau_steps):
+        return Diverges("unknown", reason="frontier hit before the tau graph closed")
+    return Diverges("no")
+
+
+def _corpus() -> list:
+    cfg = GenConfig(seed=17, max_size=9, communication_bias=0.6, allow_replication=True)
+    terms = list(generate_corpus(cfg, 40))
+    terms += [encode(Boudol, t) for t in terms[:15]] + [encode(HondaTokoro, t) for t in terms[:15]]
+    terms += [parse_term(s) for s in (
+        "!(nu a)(a?(c).(nu b)(b!a | b?(a).0) | a!b.a!a.c?(b).a!a)",
+        "!x!y | !x?(z).z!x",
+        "(nu a)(a!a | a?(b).b!b)",
+        "0",
+    )]
+    return terms
+
+
+CORPUS = _corpus()
+
+
+def _universes(root):
+    # the default one, and one with no name fresh for the root left
+    return (("default", default_universe(root)), ("exhausted", frozenset(_free(root))))
+
+
+@pytest.mark.parametrize("label_mode", ["all_labels", "tau_only"])
+def test_has_moves_equals_successor_emptiness(label_mode):
+    tau_only = label_mode == "tau_only"
+    exhausted = 0
+    for p in CORPUS:
+        root = normalize(p)
+        for _, uni in _universes(root):
+            states = explore(root, partial(_steps, universe=uni, tau_only=tau_only), 2).states
+            for s in states:
+                old = _steps(s, uni, tau_only)
+                exhausted += old is None
+                assert has_moves(s, tau_only) == (old != ()), s
+    if not tau_only:
+        assert exhausted > 0  # the exhausted universe was exercised
+
+
+@pytest.mark.parametrize("label_mode", ["all_labels", "tau_only"])
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_fragment_frontier_equals_old_probe(label_mode, depth):
+    tau_only = label_mode == "tau_only"
+    for p in CORPUS:
+        root = normalize(p)
+        for _, uni in _universes(root):
+            moves = partial(_steps, universe=uni, tau_only=tau_only)
+            ex = explore(root, moves, depth)
+            frag = build_fragment(p, depth, label_mode=label_mode, universe=uni)
+            assert frag.states == tuple(ex.states)
+            assert frag.frontier == _old_frontier(ex, moves), p
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_tau_exploration_and_diverges_equal_old_probe(depth):
+    for p in CORPUS:
+        ex, frontier = tau_exploration(p, depth)
+        assert frontier == _old_frontier(ex, _tau_steps), p
+        assert diverges(p, depth) == _old_diverges(p, depth), p
