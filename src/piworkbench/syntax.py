@@ -2,96 +2,193 @@
 
 Processes are immutable trees over names; every operation in this module
 is a pure function, so values can be shared freely between threads.
+
+Terms and names are hash-consed (after Filliâtre & Conchon, "Type-safe
+modular hash-consing", ML Workshop 2006): constructing one returns the one
+live instance of its class with those fields, so equality is identity and
+hashing is the identity hash.  The intern table holds its instances weakly
+and keeps no term alive on its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterator, Mapping, Union
+from weakref import ref
+
+# (class, *fields) -> weak reference to the one live instance
+_TABLE: dict = {}
+_TABLE_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True, order=True)
-class Name:
+class _Ref(ref):
+    """A weak reference that knows its table key (`weakref.KeyedRef`
+    without its Python-level constructor)."""
+
+    __slots__ = ("key",)
+
+
+def _absent():
+    return None
+
+
+def _forget(dead: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    # drops the entry only if it still holds a dead reference, atomically
+    # (bound as defaults, so that it still works while the module is torn down)
+    remove(table, dead.key)
+
+
+def _intern(key: tuple):
+    """The instance for `key`, made and recorded if none is live.  Under
+    the lock, so that threads racing on one key get one object."""
+    with _TABLE_LOCK:
+        self = _TABLE.get(key, _absent)()
+        if self is None:
+            cls = key[0]
+            self = object.__new__(cls)
+            for field, value in zip(cls.__match_args__, key[1:]):
+                object.__setattr__(self, field, value)
+            entry = _Ref(self, _forget)
+            entry.key = key
+            _TABLE[key] = entry
+        return self
+
+
+class _Term:
+    """Base of the hash-consed classes: fields are `__match_args__`, set
+    once by `_intern`.  Instances are always true, which each `__new__`
+    relies on: `_TABLE.get(key, _absent)()` is the live instance or None."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a term")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a term")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+@total_ordering
+class Name(_Term):
     """A channel/value name.
 
     Reserved names form a namespace of their own (rendered with a leading
     '%'), used for machinery-introduced names: encoding protocol channels,
     canonical binders and fresh transition objects.  A reserved name is
-    never equal to a user name, whatever the identifier.
+    never equal to a user name, whatever the identifier.  Names sort by
+    (ident, reserved).
     """
 
+    __slots__ = __match_args__ = ("ident", "reserved")
     ident: str
-    reserved: bool = False
+    reserved: bool
+
+    def __new__(cls, ident: str, reserved: bool = False):
+        key = (cls, ident, reserved)
+        return _TABLE.get(key, _absent)() or _intern(key)
+
+    def __lt__(self, other):
+        if not isinstance(other, Name):
+            return NotImplemented
+        if self.ident != other.ident:
+            return self.ident < other.ident
+        return self.reserved < other.reserved
 
     def __str__(self) -> str:
         return "%" + self.ident if self.reserved else self.ident
 
 
-@dataclass(frozen=True)
-class Nil:
-    pass
+class Nil(_Term):
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
 
-@dataclass(frozen=True)
-class Success:
-    pass
+class Success(_Term):
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(_Term):
+    __slots__ = __match_args__ = ("chan", "datum", "cont")
     chan: Name
     datum: Name
     cont: "Process"
 
+    def __new__(cls, chan: Name, datum: Name, cont: "Process"):
+        key = (cls, chan, datum, cont)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
-@dataclass(frozen=True)
-class Input:
+
+class Input(_Term):
+    __slots__ = __match_args__ = ("chan", "binder", "cont")
     chan: Name
     binder: Name
     cont: "Process"
 
+    def __new__(cls, chan: Name, binder: Name, cont: "Process"):
+        key = (cls, chan, binder, cont)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
-@dataclass(frozen=True)
-class Par:
+
+class Par(_Term):
+    __slots__ = __match_args__ = ("left", "right")
     left: "Process"
     right: "Process"
 
+    def __new__(cls, left: "Process", right: "Process"):
+        key = (cls, left, right)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
-@dataclass(frozen=True)
-class Restrict:
+
+class Restrict(_Term):
+    __slots__ = __match_args__ = ("binder", "body")
     binder: Name
     body: "Process"
 
+    def __new__(cls, binder: Name, body: "Process"):
+        key = (cls, binder, body)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
-@dataclass(frozen=True)
-class Repl:
+
+class Repl(_Term):
+    __slots__ = __match_args__ = ("body",)
     body: "Process"
 
+    def __new__(cls, body: "Process"):
+        key = (cls, body)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
-@dataclass(frozen=True)
-class Hole:
+
+class Hole(_Term):
     """Numbered hole; only meaningful inside encoding contexts."""
 
+    __slots__ = __match_args__ = ("index",)
     index: int
+
+    def __new__(cls, index: int):
+        key = (cls, index)
+        return _TABLE.get(key, _absent)() or _intern(key)
 
 
 Process = Union[Nil, Success, Output, Input, Par, Restrict, Repl, Hole]
-
-
-def _cached_hash(self):
-    # deep terms are hashed constantly as memo keys; cache per node
-    h = self.__dict__.get("_hashcache")
-    if h is None:
-        vals = tuple(getattr(self, f) for f in self.__dataclass_fields__)
-        h = hash((self.__class__.__qualname__, vals))
-        object.__setattr__(self, "_hashcache", h)
-    return h
-
-
-for _cls in (Name, Nil, Success, Output, Input, Par, Restrict, Repl, Hole):
-    _cls.__hash__ = _cached_hash  # type: ignore[assignment]
 
 NIL = Nil()
 OK = Success()
