@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import congruent, normalize, unfold_once
+from .congruence import _variants, congruent, normalize, unfold_once
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
@@ -262,9 +262,6 @@ def check_soundness(
     image = normalize(encode(scheme, term))
     factor = PROTOCOL_STEPS[scheme]
     tau = unlabelled(reduce_once)
-    source_images = [
-        _encode(scheme, s) for s in explore(normalize(term), tau, depth).states
-    ]
 
     if tag == "i":
         failures = []
@@ -276,6 +273,20 @@ def check_soundness(
         status = "fail" if failures else "pass"
         return CheckReport("criterion-i", instance, status, {"failures": failures})
 
+    source_images = [
+        _encode(scheme, s) for s in explore(normalize(term), tau, depth).states
+    ]
+    variants: dict = {}
+
+    def congruent1(p: Process, q: Process) -> bool:
+        # congruent(p, q, 1), building each term's variants once per check
+        if normalize(p) == normalize(q):
+            return True
+        for t in (p, q):
+            if t not in variants:
+                variants[t] = _variants(t, 1)
+        return not variants[p].isdisjoint(variants[q])
+
     targets = explore(image, tau, factor * depth)
     exhaustive = not any(has_moves(targets.states[i], tau_only=True) for i in targets.horizon)
     failures = []
@@ -285,9 +296,7 @@ def check_soundness(
         matched = False
         if tag == "s":
             reach_t = explore(normalize(t), tau, factor * depth)
-            matched = any(
-                congruent(u, img, 1) for u in reach_t.states for img in source_images
-            )
+            matched = any(congruent1(u, img) for u in reach_t.states for img in source_images)
             if not matched:
                 saw_unknown = any(
                     has_moves(reach_t.states[i], tau_only=True) for i in reach_t.horizon

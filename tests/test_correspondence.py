@@ -1,5 +1,6 @@
 import pytest
 
+from piworkbench import congruence, correspondence
 from piworkbench.congruence import normalize
 from piworkbench.correspondence import (Criterion, check_completeness,
                                         check_compositionality, check_lemma,
@@ -199,3 +200,25 @@ def test_divergence_reflection_and_preservation_examples():
         assert diverges(term, 12).status == "no"
         for scheme in (Boudol, HondaTokoro):
             assert diverges(encode(scheme, term), 16).status == "no"
+
+
+def test_criterion_s_builds_each_terms_unfoldings_once(monkeypatch):
+    # every (reachable state, source image) pair is compared up to one
+    # unfolding; each distinct term's variant set is built once per check
+    calls = []
+    variants = congruence._variants
+
+    def counting(p, budget):
+        calls.append(p)
+        return variants(p, budget)
+
+    monkeypatch.setattr(congruence, "_variants", counting)
+    monkeypatch.setattr(correspondence, "_variants", counting, raising=False)
+    cfg = GenConfig(seed=3, max_size=10, communication_bias=0.9)
+    built = 0
+    for t in generate_corpus(cfg, 40):
+        calls.clear()
+        assert check_soundness(Criterion("s"), Boudol, t, 3).status == "pass"
+        assert len(calls) == len(set(calls)), render_term(t)
+        built += len(calls)
+    assert built > 0
