@@ -76,7 +76,7 @@ def test_concurrent_construction_yields_one_object_per_term():
     built = [None] * threads
 
     def build(slot, barrier, tag):
-        barrier.wait()
+        barrier.wait(timeout=60)
         built[slot] = [
             Par(Output(Name(f"{tag}c{i}"), Name(f"{tag}d{i}"), NIL), Repl(Input(Name(f"{tag}c{i}"), x, NIL)))
             for i in range(count)
@@ -94,7 +94,8 @@ def test_concurrent_construction_yields_one_object_per_term():
             for w in workers:
                 w.start()
             for w in workers:
-                w.join()
+                w.join(timeout=60)
+                assert not w.is_alive()
             for i in range(count):
                 assert len({id(terms[i]) for terms in built}) == 1, (r, i)
                 assert len({id(terms[i].left.chan) for terms in built}) == 1, (r, i)
