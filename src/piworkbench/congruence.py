@@ -18,7 +18,8 @@ from typing import Iterator
 
 from .explore import explore, unlabelled
 from .syntax import (NIL, Hole, Input, Name, Nil, Output, Par, Process, Repl,
-                     Restrict, Success, _free, names, substitute_all)
+                     Restrict, Success, _free, fresh_names, names,
+                     substitute_all)
 from .text import render_term
 
 # a normal form is an ordinary Process whose shape is canonical: per
@@ -30,9 +31,7 @@ _LEVEL_RE = re.compile(r"r\d+$")
 
 @lru_cache(maxsize=None)
 def _level_name(slot: int, skip: frozenset) -> Name:
-    pool = (Name(f"r{i}", reserved=True) for i in itertools.count())
-    usable = (n for n in pool if n not in skip)
-    return next(itertools.islice(usable, slot, None))
+    return next(itertools.islice(fresh_names("r{}", skip), slot, None))
 
 
 def normalize(p: Process) -> Process:
@@ -102,9 +101,7 @@ def _peel(p: Process, ren: dict, temps: list, comps: list, fresh: Iterator) -> N
 def _canon_level(p: Process, env: tuple, depth: int, skip: frozenset) -> Process:
     temps: list = []
     comps: list = []
-    taken = names(p)
-    pool = (Name(f"tmp{i}", reserved=True) for i in itertools.count())
-    _peel(p, {}, temps, comps, (t for t in pool if t not in taken))
+    _peel(p, {}, temps, comps, fresh_names("tmp{}", names(p)))
     if not comps:
         return NIL
     live = [t for t in temps if any(t in _free(c) for c in comps)]

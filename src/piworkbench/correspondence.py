@@ -132,12 +132,13 @@ def check_lemma(
         # reduction is closed under structural congruence, so membership
         # is up to one replication unfold (the inert start may have used one)
         reducts = reduce_once(normalize(term))
+        inert = inert_steps(term)
         missing = [
             q
-            for q in sorted(inert_steps(term), key=render_term)
+            for q in sorted(inert, key=render_term)
             if not any(congruent(q, r, 1) for r in reducts)
         ]
-        details["inert_steps"] = len(inert_steps(term))
+        details["inert_steps"] = len(inert)
         details["missing"] = [render_term(q) for q in missing]
         return CheckReport("lemma-l1", instance, "fail" if missing else "pass", details)
 
@@ -200,7 +201,11 @@ def check_lemma(
     return CheckReport("lemma-l6", instance, "fail" if failures else "pass", details)
 
 
-def _completeness_report(check_id, scheme, term, bound, instance, match_related=None, eq_depth=8):
+# depth of the bisimulation check that matches a reached state to a target
+_MATCH_DEPTH = 8
+
+
+def _completeness_report(check_id, scheme, term, bound, instance, match_related=None):
     image = normalize(encode(scheme, term))
     reach = explore(image, unlabelled(reduce_once), bound)
     per_reduct = []
@@ -212,7 +217,7 @@ def _completeness_report(check_id, scheme, term, bound, instance, match_related=
             if match_related is None:
                 matched = congruent(state, target, 1)
             else:
-                matched = check_bisim(match_related, state, target, eq_depth).is_related
+                matched = check_bisim(match_related, state, target, _MATCH_DEPTH).is_related
             if matched:
                 hit = d
                 break

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -273,46 +271,28 @@ def _run_check(spec: CheckSpec, index: int, term: Process, limits: Limits) -> Ch
     return CheckReport(spec.check_id, instance, rep.status, rep.details)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("WORKBENCH_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def run_suite(
     corpus: Sequence[Process],
     checks: Sequence[CheckSpec],
     limits: Limits = Limits(),
     config: Optional[Mapping] = None,
 ) -> SuiteReport:
-    """Run every check over every corpus element.
+    """Run every check over every corpus element, on the calling thread.
 
     A failing or crashing check never aborts the suite; unknowns are
     counted apart from failures, and the report order is normalised."""
-    jobs = []
+    results = []
     for spec in checks:
         for idx, term in enumerate(corpus):
-            jobs.append((spec, idx, term))
-
-    def run(job):
-        spec, idx, term = job
-        try:
-            return (spec.check_id, idx), _run_check(spec, idx, term, limits)
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
-            report = CheckReport(
-                spec.check_id,
-                {"index": idx, "term": render_term(term)},
-                "fail",
-                {"error": f"{type(exc).__name__}: {exc}"},
-            )
-            return (spec.check_id, idx), report
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+            try:
+                report = _run_check(spec, idx, term, limits)
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                report = CheckReport(
+                    spec.check_id,
+                    {"index": idx, "term": render_term(term)},
+                    "fail",
+                    {"error": f"{type(exc).__name__}: {exc}"},
+                )
+            results.append(((spec.check_id, idx), report))
     results.sort(key=lambda kv: kv[0])
     return SuiteReport(tuple(r for _, r in results), dict(config or {}))

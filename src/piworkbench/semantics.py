@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .congruence import normalize
 from .explore import Exploration, explore
 from .syntax import (Input, Name, Output, Par, Process, Repl, Restrict,
-                     _free, names, substitute)
+                     _free, fresh_names, names, substitute)
 from .text import render_term
 
 
@@ -147,25 +147,12 @@ def _sync(a: Label, t: Process, b: Label, u: Process, w: Name, swap: bool = Fals
 
 
 def _temp_bound_name(p: Process) -> Name:
-    taken = names(p)
-    for i in itertools.count():
-        n = Name(f"t{i}'", reserved=True)
-        if n not in taken:
-            return n
-
-
-_UNIVERSE_POOL_PREFIX = "w"
+    return next(fresh_names("t{}'", names(p)))
 
 
 def universe_fresh_names(avoid, count: int) -> tuple:
     """First `count` names of the reserved fresh pool outside `avoid`."""
-    out = []
-    for i in itertools.count(1):
-        n = Name(f"{_UNIVERSE_POOL_PREFIX}{i}", reserved=True)
-        if n not in avoid:
-            out.append(n)
-            if len(out) == count:
-                return tuple(out)
+    return tuple(itertools.islice(fresh_names("w{}", avoid, 1), count))
 
 
 def _fresh_representative(p: Process, universe: frozenset) -> Optional[Name]:
@@ -214,14 +201,6 @@ def step_labels(p: Process, universe: Iterable[Name]) -> tuple:
     return _steps(p, universe, tau_only=False)
 
 
-@lru_cache(maxsize=None)
-def reduce_once(p: Process) -> tuple:
-    """Canonical tau-successors; by the Harmony Lemma these are exactly the
-    one-step reducts up to structural congruence."""
-    steps = _steps(p, default_universe(p), tau_only=True)
-    return tuple(t for _, t in steps)
-
-
 @dataclass(frozen=True)
 class LtsFragment:
     """Bounded, canonical fragment of the transition system.
@@ -261,6 +240,13 @@ def _frontier(ex: Exploration, tau_only: bool) -> frozenset:
 
 
 _tau_steps = partial(_steps, universe=frozenset(), tau_only=True)
+
+
+@lru_cache(maxsize=None)
+def reduce_once(p: Process) -> tuple:
+    """Canonical tau-successors; by the Harmony Lemma these are exactly the
+    one-step reducts up to structural congruence."""
+    return tuple(t for _, t in _tau_steps(p))
 
 
 def tau_exploration(p: Process, depth: int) -> tuple:

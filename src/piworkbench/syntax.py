@@ -337,10 +337,15 @@ def _subst_binder(b: Name, body: Process, items):
     return b, _subst(body, inner)
 
 
-def _canonical_pool(prefix: str, skip) -> Iterator[Name]:
-    for i in itertools.count():
-        n = Name(f"{prefix}{i}", reserved=True)
-        if n not in skip:
+def fresh_names(template: str, avoid, start: int = 0) -> Iterator[Name]:
+    """The reserved names `template.format(i)` for i = start, start + 1,
+    ..., skipping those in `avoid`.  Every name the machinery invents comes
+    from here (canonical binders, temps, the bound-name placeholder of
+    transitions, universe names), except the encodings' protocol pairs and
+    the primes of `fresh_variant`."""
+    for i in itertools.count(start):
+        n = Name(template.format(i), reserved=True)
+        if n not in avoid:
             yield n
 
 
@@ -353,7 +358,7 @@ def alpha_normalize(p: Process) -> Process:
     fn-preserving; two terms are alpha-equivalent iff their normal forms
     are syntactically identical.
     """
-    pool = _canonical_pool("b", _free(p))
+    pool = fresh_names("b{}", _free(p))
 
     def rec(t: Process, env: dict) -> Process:
         match t:

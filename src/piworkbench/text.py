@@ -157,10 +157,6 @@ def parse_term(text: str, allow_reserved: bool = False) -> Process:
     return p
 
 
-def render_name(n: Name) -> str:
-    return str(n)
-
-
 @lru_cache(maxsize=None)
 def _render_factor(p: Process) -> str:
     match p:

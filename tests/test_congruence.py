@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from _oracle import enum_terms, oracle_classes, scramble
 from piworkbench.congruence import congruent, normalize, unfold_once
 from piworkbench.syntax import NIL, Name, free_names, size
@@ -172,3 +174,12 @@ def test_normal_form_temps_never_capture_free_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert json.loads(out) == want
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, order-cap defect: past _ORDER_CAP "
+                   "candidate orders the restriction block keeps its presentation order")
+def test_five_binder_cycle_congruent_under_binder_permutation():
+    body = "(a!b | b!c | c!d | d!e | e!a)"
+    p = parse_term("(nu a)(nu b)(nu c)(nu d)(nu e)" + body)
+    q = parse_term("(nu a)(nu b)(nu c)(nu e)(nu d)" + body)
+    assert congruent(p, q, 0)

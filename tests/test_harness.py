@@ -1,8 +1,10 @@
 import os
+import threading
 from unittest import mock
 
 import pytest
 
+from piworkbench import harness
 from piworkbench.harness import (CheckSpec, GenConfig, Limits, generate_corpus,
                                  run_suite)
 from piworkbench.syntax import Input, Output, Par, Repl, is_async, names, size
@@ -118,18 +120,24 @@ def test_run_suite_never_aborts_on_crash():
     assert all(r.status in ("pass", "fail") for r in rep.reports)
 
 
-def test_run_suite_parallel_matches_serial():
-    cfg = GenConfig(seed=17, max_size=6, allow_replication=False, communication_bias=0.7)
-    corpus = generate_corpus(cfg, 6)
-    checks = [
-        CheckSpec("v", "bisim-validity", {"scheme": "boudol", "relation": "wbb", "depth": 8}),
-    ]
-    serial = run_suite(corpus, checks)
-    with mock.patch.dict(os.environ, {"WORKBENCH_THREADS": "4"}):
-        parallel = run_suite(corpus, checks)
-    assert [r.status for r in serial.reports] == [r.status for r in parallel.reports]
-    assert (serial.passed, serial.failed, serial.unknown) == (
-        parallel.passed, parallel.failed, parallel.unknown)
+def test_run_suite_runs_every_check_on_the_calling_thread():
+    corpus = generate_corpus(GenConfig(seed=17, max_size=6, allow_replication=False), 6)
+    checks = [CheckSpec("b", "barb-preservation", {"scheme": "boudol"}),
+              CheckSpec("d", "divergence", {"scheme": "ht", "depth": 3})]
+    threads = []
+
+    def recording(check):
+        def run(*args):
+            threads.append(threading.get_ident())
+            return check(*args)
+        return run
+
+    spied = {kind: recording(check) for kind, check in harness.CHECKS.items()}
+    with mock.patch.dict(harness.CHECKS, spied), \
+            mock.patch.dict(os.environ, {"WORKBENCH_THREADS": "4"}):
+        rep = run_suite(corpus, checks)
+    assert len(rep.reports) == len(threads) == 12
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_malformed_check_spec():
@@ -139,7 +147,7 @@ def test_malformed_check_spec():
     assert "error" in rep.reports[0].details
 
 
-def test_suite_report_independent_of_threads_and_call_history():
+def test_suite_report_independent_of_call_history():
     cfg = GenConfig(seed=23, max_size=7, allow_replication=False, communication_bias=0.8,
                     insert_success_probability=0.2)
     corpus = generate_corpus(cfg, 12)
@@ -150,12 +158,10 @@ def test_suite_report_independent_of_threads_and_call_history():
         CheckSpec("l6", "lemma", {"lemma": "l6", "depth": 4}),
     ]
 
-    def report(terms, specs, threads):
-        with mock.patch.dict(os.environ, {"WORKBENCH_THREADS": threads}):
-            return run_suite(terms, specs, Limits(depth=6), {"seed": 23}).to_dict()
+    def report(terms, specs):
+        return run_suite(terms, specs, Limits(depth=6), {"seed": 23}).to_dict()
 
-    serial = report(corpus, checks, "1")
-    assert report(corpus, checks, "2") == serial
-    report(corpus[::-1], checks[::-1], "1")
-    assert report(corpus, checks, "1") == serial
-    assert any("witness" in r["details"] for r in serial["reports"])
+    first = report(corpus, checks)
+    report(corpus[::-1], checks[::-1])
+    assert report(corpus, checks) == first
+    assert any("witness" in r["details"] for r in first["reports"])

@@ -39,7 +39,7 @@ with tempfile.TemporaryDirectory() as d:
 
 
 def _run(hash_seed: str) -> str:
-    env = {k: v for k, v in os.environ.items() if k != "WORKBENCH_THREADS"}
+    env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
