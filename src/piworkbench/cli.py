@@ -14,9 +14,9 @@ import sys
 from typing import Optional
 
 from .congruence import normalize
-from .correspondence import check_lemma
+from .correspondence import CRITERIA, LEMMA_IDS, check_lemma
 from .encodings import encode, scheme_from_string
-from .equivalences import RelationKind, check_bisim
+from .equivalences import KINDS, RelationKind, check_bisim
 from .harness import (CHECKS, CheckSpec, GenConfig, Limits, SuiteReport,
                       generate_corpus, run_suite)
 from .observables import strong_barbs, weak_barbs
@@ -208,8 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_barbs)
 
     p = sub.add_parser("check", help="equivalence check between two terms")
-    p.add_argument("--kind", required=True,
-                   choices=["ewb", "wot", "wab", "wbb", "awbb", "wcb", "srwrb"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--div", action="store_true", help="divergence preserving")
     p.add_argument("--branching", action="store_true")
     p.add_argument("--depth", type=int, required=True)
@@ -220,8 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="encoding validity over a generated corpus")
     p.add_argument("--scheme", required=True, choices=["boudol", "ht"])
-    p.add_argument("--kind", required=True,
-                   choices=["ewb", "wot", "wab", "wbb", "awbb", "wcb", "srwrb"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--corpus-seed", type=int, required=True)
     p.add_argument("--corpus-size", type=int, required=True)
@@ -232,14 +230,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("correspondence", help="operational-correspondence criterion")
-    p.add_argument("--criterion", required=True, choices=["c", "cp", "i", "s", "w", "g"])
+    p.add_argument("--criterion", required=True, choices=CRITERIA)
     p.add_argument("--scheme", required=True, choices=["boudol", "ht"])
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_correspondence)
 
     p = sub.add_parser("lemma", help="evaluate a supporting lemma on an instance")
-    p.add_argument("--id", required=True, choices=["l1", "l2", "l2star", "pb", "l5", "l6"])
+    p.add_argument("--id", required=True, choices=LEMMA_IDS)
     p.add_argument("--scheme", default="boudol", choices=["boudol", "ht"])
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--allow-reserved", action="store_true")

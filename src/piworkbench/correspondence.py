@@ -6,17 +6,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import _variants, congruent, normalize, unfold_once
+from .congruence import _variants, normalize, unfold_once
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
 from .explore import explore, unlabelled
-from .semantics import has_moves, reduce_once
+from .semantics import reduce_once, tau_exploration
 from .syntax import (NIL, Input, Nil, Output, Par, Process, Restrict,
                      _free, alpha_eq, is_async, substitute, substitute_all)
 from .text import render_term
 
 PROTOCOL_STEPS = {Boudol: 3, HondaTokoro: 2}
+CRITERIA = ("c", "cp", "i", "s", "w", "g")
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class Criterion:
     equivalence: Optional[RelationKind] = None
 
     def __post_init__(self):
-        if self.tag not in ("c", "cp", "i", "s", "w", "g"):
+        if self.tag not in CRITERIA:
             raise ValueError(f"unknown criterion {self.tag!r}")
 
 
@@ -112,6 +113,23 @@ def inert_closure(p: Process, depth: int) -> frozenset:
     return frozenset(explore(normalize(p), unlabelled(inert_steps), depth).states)
 
 
+def _unfolding_table():
+    """`congruence.congruent` at unfolding budget 1, for one check: the
+    variants of each normal form are built once, in a table it owns."""
+    variants: dict = {}
+
+    def cong1(p: Process, q: Process) -> bool:
+        np, nq = normalize(p), normalize(q)
+        if np == nq:
+            return True
+        for n, t in ((np, p), (nq, q)):
+            if n not in variants:
+                variants[n] = _variants(t, 1)
+        return not variants[np].isdisjoint(variants[nq])
+
+    return cong1
+
+
 LEMMA_IDS = ("l1", "l2", "l2star", "pb", "l5", "l6")
 
 
@@ -127,6 +145,7 @@ def check_lemma(
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     instance = {"lemma": lemma_id, "term": render_term(term), "depth": depth}
     details: dict = {}
+    cong1 = _unfolding_table()
 
     if lemma_id == "l1":
         # reduction is closed under structural congruence, so membership
@@ -136,7 +155,7 @@ def check_lemma(
         missing = [
             q
             for q in sorted(inert, key=render_term)
-            if not any(congruent(q, r, 1) for r in reducts)
+            if not any(cong1(q, r) for r in reducts)
         ]
         details["inert_steps"] = len(inert)
         details["missing"] = [render_term(q) for q in missing]
@@ -147,11 +166,11 @@ def check_lemma(
         checked = 0
         for q in sorted(inert_steps(term), key=render_term):
             for p2 in reduce_once(normalize(term)):
-                if congruent(p2, q, 1):
+                if cong1(p2, q):
                     continue
                 checked += 1
                 if not any(
-                    congruent(q2, r, 1)
+                    cong1(q2, r)
                     for q2 in reduce_once(q)
                     for r in inert_steps(p2)
                 ):
@@ -162,9 +181,9 @@ def check_lemma(
 
     if lemma_id == "l2star":
         violations = []
+        closures = [(p2, inert_closure(p2, depth)) for p2 in reduce_once(normalize(term))]
         for q in sorted(inert_closure(term, depth), key=render_term):
-            for p2 in reduce_once(normalize(term)):
-                closure_p2 = inert_closure(p2, depth)
+            for p2, closure_p2 in closures:
                 if q in closure_p2:
                     continue
                 if not any(r in closure_p2 for r in reduce_once(q)):
@@ -193,7 +212,7 @@ def check_lemma(
     for q in reduce_once(normalize(image)):
         closure = inert_closure(q, depth)
         if not any(
-            any(congruent(c, _encode(scheme, p2), 1) for c in closure)
+            any(cong1(c, _encode(scheme, p2)) for c in closure)
             for p2 in source_reducts
         ):
             failures.append(render_term(q))
@@ -206,8 +225,8 @@ _MATCH_DEPTH = 8
 
 
 def _completeness_report(check_id, scheme, term, bound, instance, match_related=None):
-    image = normalize(encode(scheme, term))
-    reach = explore(image, unlabelled(reduce_once), bound)
+    reach, _ = tau_exploration(encode(scheme, term), bound)
+    cong1 = _unfolding_table()
     per_reduct = []
     ok = True
     for p2 in reduce_once(normalize(term)):
@@ -215,7 +234,7 @@ def _completeness_report(check_id, scheme, term, bound, instance, match_related=
         hit = None
         for state, d in zip(reach.states, reach.dist):
             if match_related is None:
-                matched = congruent(state, target, 1)
+                matched = cong1(state, target)
             else:
                 matched = check_bisim(match_related, state, target, _MATCH_DEPTH).is_related
             if matched:
@@ -264,48 +283,29 @@ def check_soundness(
             match_related=criterion.equivalence,
         )
 
-    image = normalize(encode(scheme, term))
+    image = encode(scheme, term)
     factor = PROTOCOL_STEPS[scheme]
-    tau = unlabelled(reduce_once)
+    cong1 = _unfolding_table()
 
     if tag == "i":
         failures = []
-        for t in reduce_once(image):
-            if not any(
-                congruent(t, _encode(scheme, s2), 1) for s2 in reduce_once(normalize(term))
-            ):
+        for t in reduce_once(normalize(image)):
+            if not any(cong1(t, _encode(scheme, s2)) for s2 in reduce_once(normalize(term))):
                 failures.append(render_term(t))
         status = "fail" if failures else "pass"
         return CheckReport("criterion-i", instance, status, {"failures": failures})
 
-    source_images = [
-        _encode(scheme, s) for s in explore(normalize(term), tau, depth).states
-    ]
-    variants: dict = {}
-
-    def congruent1(p: Process, q: Process) -> bool:
-        # congruent(p, q, 1), building each term's variants once per check
-        if normalize(p) == normalize(q):
-            return True
-        for t in (p, q):
-            if t not in variants:
-                variants[t] = _variants(t, 1)
-        return not variants[p].isdisjoint(variants[q])
-
-    targets = explore(image, tau, factor * depth)
-    exhaustive = not any(has_moves(targets.states[i], tau_only=True) for i in targets.horizon)
+    source_images = [_encode(scheme, s) for s in tau_exploration(term, depth)[0].states]
+    targets, frontier = tau_exploration(image, factor * depth)
     failures = []
     undecided = []
     for t in targets.states:
         saw_unknown = False
         matched = False
         if tag == "s":
-            reach_t = explore(normalize(t), tau, factor * depth)
-            matched = any(congruent1(u, img) for u in reach_t.states for img in source_images)
-            if not matched:
-                saw_unknown = any(
-                    has_moves(reach_t.states[i], tau_only=True) for i in reach_t.horizon
-                )
+            reach_t, reach_frontier = tau_exploration(t, factor * depth)
+            matched = any(cong1(u, img) for u in reach_t.states for img in source_images)
+            saw_unknown = not matched and bool(reach_frontier)
         elif tag == "w":
             eq = criterion.equivalence or SRWRB
             for img in source_images:
@@ -316,7 +316,7 @@ def check_soundness(
                 saw_unknown = saw_unknown or v.is_unknown
         else:  # g
             eq = criterion.equivalence or SRWRB
-            for u in explore(normalize(t), tau, factor * depth).states:
+            for u in tau_exploration(t, factor * depth)[0].states:
                 for img in source_images:
                     v = check_bisim(eq, u, img, depth)
                     if v.is_related:
@@ -332,7 +332,7 @@ def check_soundness(
                 failures.append(render_term(t))
     if failures:
         status = "fail"
-    elif undecided or not exhaustive:
+    elif undecided or frontier:
         status = "unknown"
     else:
         status = "pass"

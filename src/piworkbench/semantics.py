@@ -167,14 +167,13 @@ def _fresh_representative(p: Process, universe: frozenset) -> Optional[Name]:
 def _steps(p: Process, universe: frozenset, tau_only: bool) -> Optional[tuple]:
     """Canonical moves of `p`, sorted; None when `p` has a visible move but
     the universe has no name left that is fresh for it."""
+    if tau_only:
+        return _tau_steps(p)
     tmp = _temp_bound_name(p)
-    raw = _raw_transitions(p, tmp)
     out = set()
     rep = None
-    for a, t in raw:
-        if isinstance(a, Tau):
-            out.add((a, normalize(t)))
-        elif not tau_only:
+    for a, t in _raw_transitions(p, tmp):
+        if not isinstance(a, Tau):
             if rep is None:
                 rep = _fresh_representative(p, universe)
                 if rep is None:
@@ -182,7 +181,7 @@ def _steps(p: Process, universe: frozenset, tau_only: bool) -> Optional[tuple]:
             if label_bn(a):
                 a = type(a)(a.chan, rep)
                 t = substitute(t, tmp, rep)
-            out.add((a, normalize(t)))
+        out.add((a, normalize(t)))
     return tuple(sorted(out, key=lambda at: (_label_key(at[0]), render_term(at[1]))))
 
 
@@ -239,14 +238,17 @@ def _frontier(ex: Exploration, tau_only: bool) -> frozenset:
     )
 
 
-_tau_steps = partial(_steps, universe=frozenset(), tau_only=True)
-
-
 @lru_cache(maxsize=None)
 def reduce_once(p: Process) -> tuple:
-    """Canonical tau-successors; by the Harmony Lemma these are exactly the
-    one-step reducts up to structural congruence."""
-    return tuple(t for _, t in _tau_steps(p))
+    """Canonical tau-successors, sorted: by the Harmony Lemma, the one-step
+    reducts up to structural congruence.  The only cache of tau steps."""
+    raw = _raw_transitions(p, _temp_bound_name(p))
+    return tuple(sorted({normalize(t) for a, t in raw if isinstance(a, Tau)}, key=render_term))
+
+
+def _tau_steps(p: Process) -> tuple:
+    """The labelled view of `reduce_once`."""
+    return tuple((TAU, t) for t in reduce_once(p))
 
 
 def tau_exploration(p: Process, depth: int) -> tuple:
@@ -272,7 +274,8 @@ def build_fragment(
     root = normalize(p)
     uni = default_universe(root, universe_extra) if universe is None else frozenset(universe)
     tau_only = label_mode == "tau_only"
-    ex = explore(root, partial(_steps, universe=uni, tau_only=tau_only), depth)
+    moves = _tau_steps if tau_only else partial(_steps, universe=uni, tau_only=False)
+    ex = explore(root, moves, depth)
     return LtsFragment(
         states=tuple(ex.states),
         transitions=tuple((i, a, j) for i, out in enumerate(ex.out) for a, j in out),

@@ -294,9 +294,10 @@ def substitute_all(p: Process, mapping: Mapping[Name, Name]) -> Process:
     """Simultaneous capture-avoiding renaming of free occurrences.
 
     Binders whose name would capture an incoming name are renamed to a
-    fresh primed variant first.
+    fresh primed variant first.  Only the entries for free names of `p`
+    key the memo, so each distinct substitution is cached once.
     """
-    items = tuple(sorted((y, w) for y, w in mapping.items() if y != w))
+    items = tuple(sorted((y, w) for y, w in mapping.items() if y != w and y in _free(p)))
     return _subst(p, items)
 
 

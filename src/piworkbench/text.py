@@ -157,8 +157,15 @@ def parse_term(text: str, allow_reserved: bool = False) -> Process:
     return p
 
 
-@lru_cache(maxsize=None)
 def _render_factor(p: Process) -> str:
+    """`p` as the operand of a prefix, `!` or `|`."""
+    return f"({render_term(p)})" if isinstance(p, Par) else render_term(p)
+
+
+@lru_cache(maxsize=None)
+def render_term(p: Process) -> str:
+    """Deterministic pretty-printer; inverse of parse_term on canonical
+    (left-associated) terms, and inverse up to alpha elsewhere."""
     match p:
         case Nil():
             return "0"
@@ -176,20 +183,11 @@ def _render_factor(p: Process) -> str:
         case Repl(body):
             return f"!{_render_factor(body)}"
         case Par(_, _):
-            return f"({render_term(p)})"
+            parts = []
+            spine = p
+            while isinstance(spine, Par):
+                parts.append(spine.right)
+                spine = spine.left
+            parts.append(spine)
+            return " | ".join(_render_factor(q) for q in reversed(parts))
     raise TypeError(f"not a process: {p!r}")
-
-
-@lru_cache(maxsize=None)
-def render_term(p: Process) -> str:
-    """Deterministic pretty-printer; inverse of parse_term on canonical
-    (left-associated) terms, and inverse up to alpha elsewhere."""
-    if isinstance(p, Par):
-        parts = []
-        spine = p
-        while isinstance(spine, Par):
-            parts.append(spine.right)
-            spine = spine.left
-        parts.append(spine)
-        return " | ".join(_render_factor(q) for q in reversed(parts))
-    return _render_factor(p)

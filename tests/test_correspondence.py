@@ -202,9 +202,20 @@ def test_divergence_reflection_and_preservation_examples():
             assert diverges(encode(scheme, term), 16).status == "no"
 
 
-def test_criterion_s_builds_each_terms_unfoldings_once(monkeypatch):
-    # every (reachable state, source image) pair is compared up to one
-    # unfolding; each distinct term's variant set is built once per check
+# each check on the corpus below, and the status every term must get
+# (criterion i, the strictest, fails on some of them)
+UNFOLDING_CHECKS = {
+    "s": (lambda t: check_soundness(Criterion("s"), Boudol, t, 3), "pass"),
+    "c": (lambda t: check_soundness(Criterion("c"), Boudol, t, 3), "pass"),
+    "i": (lambda t: check_soundness(Criterion("i"), Boudol, t, 3), None),
+    "l6": (lambda t: check_lemma("l6", t, depth=3), "pass"),
+}
+
+
+@pytest.mark.parametrize("check", list(UNFOLDING_CHECKS))
+def test_check_builds_each_terms_unfoldings_once(monkeypatch, check):
+    # every comparison up to one unfolding goes through the check's own
+    # table, so each distinct term's variant set is built once per check
     calls = []
     variants = congruence._variants
 
@@ -214,11 +225,14 @@ def test_criterion_s_builds_each_terms_unfoldings_once(monkeypatch):
 
     monkeypatch.setattr(congruence, "_variants", counting)
     monkeypatch.setattr(correspondence, "_variants", counting, raising=False)
+    run, status = UNFOLDING_CHECKS[check]
     cfg = GenConfig(seed=3, max_size=10, communication_bias=0.9)
     built = 0
-    for t in generate_corpus(cfg, 40):
+    # two independent redexes: each image reduct meets every source image
+    two_redexes = parse_term("x!a | x?(y).0 | z!b | z?(w).0")
+    for t in [*generate_corpus(cfg, 40), two_redexes]:
         calls.clear()
-        assert check_soundness(Criterion("s"), Boudol, t, 3).status == "pass"
+        assert status in (None, run(t).status)
         assert len(calls) == len(set(calls)), render_term(t)
         built += len(calls)
     assert built > 0

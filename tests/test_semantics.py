@@ -3,9 +3,11 @@ import random
 import pytest
 
 from _oracle import oracle_reducts, scramble
+from piworkbench import semantics
 from piworkbench.congruence import congruent, normalize
 from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import GenConfig, generate_corpus
+from piworkbench.observables import weak_barbs
 from piworkbench.semantics import (BoundOutput, FreeOutput, InputLab, Tau,
                                    build_fragment, default_universe, diverges,
                                    label_bn, label_fn, reduce_once,
@@ -203,3 +205,23 @@ def test_step_labels_invariant_under_fresh_choice():
             assert normalize(substitute(tb, lb.datum, la.datum)) == ta
         else:
             assert (la, ta) == (lb, tb)
+
+
+def test_tau_steps_are_derived_once_by_reduce_once(monkeypatch):
+    # tau-only fragments, divergence and weak barbs all read the tau steps
+    # that reduce_once cached; none of them derives them again
+    p = parse_term("!(x!a | x?(y).y!b) | x?(z).z!c | b?(v).0")
+    first = build_fragment(p, 4, label_mode="tau_only")
+    calls = []
+    steps = semantics._steps
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return steps(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "_steps", spy)
+    assert build_fragment(p, 4, label_mode="tau_only") == first
+    assert diverges(p, 4).status == "unknown"
+    barbs, exhaustive = weak_barbs(p, 4)
+    assert barbs and not exhaustive
+    assert calls == []

@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from piworkbench import syntax
 from piworkbench.syntax import (NIL, OK, Input, Name, Output, Par, Repl,
                                 Restrict, alpha_eq, alpha_normalize,
                                 free_names, fresh_variant, is_async, names,
@@ -57,6 +58,24 @@ def test_substitute_all_simultaneous_swap():
     p = parse_term("x!y")
     q = substitute_all(p, {x: y, y: x})
     assert q == parse_term("y!x")
+
+
+def test_substitute_all_keys_the_memo_by_free_names_only():
+    # mappings that differ only in a name not free in the term are one
+    # substitution, and `_subst` caches it once
+    p = parse_term("memo_x!memo_y.memo_y?(q).q!memo_x")
+    before = syntax._subst.cache_info().currsize
+    q = substitute_all(p, {Name("memo_x"): z})
+    once = syntax._subst.cache_info().currsize
+    assert substitute_all(p, {Name("memo_x"): z, Name("memo_absent"): w}) == q
+    assert once > before
+    assert syntax._subst.cache_info().currsize == once
+
+
+def test_render_long_parallel_composition():
+    # a Par spine longer than the recursion limit still renders
+    p = parse_term(" | ".join(["a!b"] * 3000))
+    assert render_term(p) == " | ".join(["a!b"] * 3000)
 
 
 def test_alpha_normalize_restriction():
