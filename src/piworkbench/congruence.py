@@ -13,23 +13,19 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 from typing import Iterator
 
 from .explore import explore, unlabelled
+from .memo import memo
 from .syntax import (NIL, Hole, Input, Name, Nil, Output, Par, Process, Repl,
                      Restrict, Success, _free, fresh_names, names,
                      substitute_all)
 from .text import render_term
 
-# a normal form is an ordinary Process whose shape is canonical: per
-# parallel level a positional restriction block over text-sorted components
-CongruenceNF = Process
-
 _LEVEL_RE = re.compile(r"r\d+$")
 
 
-@lru_cache(maxsize=None)
+@memo
 def _level_name(slot: int, skip: frozenset) -> Name:
     return next(itertools.islice(fresh_names("r{}", skip), slot, None))
 
@@ -42,42 +38,36 @@ def normalize(p: Process) -> Process:
     return _normalize(p)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _normalize(p: Process) -> Process:
     skip = frozenset(n for n in _free(p) if n.reserved and _LEVEL_RE.match(n.ident))
     return _canon(p, (), 0, skip)
 
 
-def _env_key(env: tuple, p: Process) -> tuple:
+def _restrict(env: tuple, p: Process) -> tuple:
+    """The entries of the renaming `env` for free names of `p`: `_canon`
+    is keyed by exactly what the normal form of `p` depends on."""
     fp = _free(p)
     return tuple((y, w) for y, w in env if y in fp)
 
 
-_CANON_MEMO: dict = {}
-
-
+@memo
 def _canon(p: Process, env: tuple, depth: int, skip: frozenset) -> Process:
-    key = (p, _env_key(env, p), depth, skip)
-    hit = _CANON_MEMO.get(key)
-    if hit is not None:
-        return hit
     m = dict(env)
     match p:
         case Nil() | Success() | Hole():
-            out = p
+            return p
         case Output(c, d, k):
-            out = Output(m.get(c, c), m.get(d, d), _canon(k, env, depth, skip))
+            return Output(m.get(c, c), m.get(d, d), _canon(k, _restrict(env, k), depth, skip))
         case Input(c, b, k):
             nb = _level_name(depth, skip)
-            out = Input(m.get(c, c), nb, _canon(k, env + ((b, nb),), depth + 1, skip))
+            return Input(m.get(c, c), nb,
+                         _canon(k, _restrict(env + ((b, nb),), k), depth + 1, skip))
         case Repl(body):
-            out = Repl(_canon(body, env, depth, skip))
+            return Repl(_canon(body, env, depth, skip))
         case Par(_, _) | Restrict(_, _):
-            out = _canon_level(p, env, depth, skip)
-        case _:
-            raise TypeError(f"not a process: {p!r}")
-    _CANON_MEMO[key] = out
-    return out
+            return _canon_level(p, env, depth, skip)
+    raise TypeError(f"not a process: {p!r}")
 
 
 def _peel(p: Process, ren: dict, temps: list, comps: list, fresh: Iterator) -> None:
@@ -113,7 +103,7 @@ def _canon_level(p: Process, env: tuple, depth: int, skip: frozenset) -> Process
         env2 = env + assign
         inner_depth = depth + len(live)
         cs = sorted(
-            (_canon(c, env2, inner_depth, skip) for c in comps),
+            (_canon(c, _restrict(env2, c), inner_depth, skip) for c in comps),
             key=render_term,
         )
         body = cs[0]
@@ -234,9 +224,12 @@ def unfold_once(p: Process) -> frozenset:
     return frozenset(out)
 
 
-def _variants(p: Process, budget: int) -> frozenset:
+@memo
+def _variants(nf: Process, budget: int) -> frozenset:
+    """The normal forms within `budget` replication unfoldings of the
+    normal form `nf`: the one table of unfoldings."""
     step = unlabelled(lambda t: map(_normalize, unfold_once(t)))
-    return frozenset(explore(_normalize(p), step, budget).states)
+    return frozenset(explore(nf, step, budget).states)
 
 
 def congruent(p: Process, q: Process, unfold_budget: int = 0) -> bool:
@@ -248,8 +241,9 @@ def congruent(p: Process, q: Process, unfold_budget: int = 0) -> bool:
     """
     if unfold_budget < 0:
         raise ValueError("unfold_budget must be >= 0")
-    if _normalize(p) == _normalize(q):
+    np, nq = _normalize(p), _normalize(q)
+    if np == nq:
         return True
     if unfold_budget == 0:
         return False
-    return not _variants(p, unfold_budget).isdisjoint(_variants(q, unfold_budget))
+    return not _variants(np, unfold_budget).isdisjoint(_variants(nq, unfold_budget))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import _variants, normalize, unfold_once
+from .congruence import congruent, normalize, unfold_once
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
@@ -113,23 +113,6 @@ def inert_closure(p: Process, depth: int) -> frozenset:
     return frozenset(explore(normalize(p), unlabelled(inert_steps), depth).states)
 
 
-def _unfolding_table():
-    """`congruence.congruent` at unfolding budget 1, for one check: the
-    variants of each normal form are built once, in a table it owns."""
-    variants: dict = {}
-
-    def cong1(p: Process, q: Process) -> bool:
-        np, nq = normalize(p), normalize(q)
-        if np == nq:
-            return True
-        for n, t in ((np, p), (nq, q)):
-            if n not in variants:
-                variants[n] = _variants(t, 1)
-        return not variants[np].isdisjoint(variants[nq])
-
-    return cong1
-
-
 LEMMA_IDS = ("l1", "l2", "l2star", "pb", "l5", "l6")
 
 
@@ -145,7 +128,6 @@ def check_lemma(
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     instance = {"lemma": lemma_id, "term": render_term(term), "depth": depth}
     details: dict = {}
-    cong1 = _unfolding_table()
 
     if lemma_id == "l1":
         # reduction is closed under structural congruence, so membership
@@ -155,7 +137,7 @@ def check_lemma(
         missing = [
             q
             for q in sorted(inert, key=render_term)
-            if not any(cong1(q, r) for r in reducts)
+            if not any(congruent(q, r, 1) for r in reducts)
         ]
         details["inert_steps"] = len(inert)
         details["missing"] = [render_term(q) for q in missing]
@@ -166,11 +148,11 @@ def check_lemma(
         checked = 0
         for q in sorted(inert_steps(term), key=render_term):
             for p2 in reduce_once(normalize(term)):
-                if cong1(p2, q):
+                if congruent(p2, q, 1):
                     continue
                 checked += 1
                 if not any(
-                    cong1(q2, r)
+                    congruent(q2, r, 1)
                     for q2 in reduce_once(q)
                     for r in inert_steps(p2)
                 ):
@@ -212,7 +194,7 @@ def check_lemma(
     for q in reduce_once(normalize(image)):
         closure = inert_closure(q, depth)
         if not any(
-            any(cong1(c, _encode(scheme, p2)) for c in closure)
+            any(congruent(c, _encode(scheme, p2), 1) for c in closure)
             for p2 in source_reducts
         ):
             failures.append(render_term(q))
@@ -226,7 +208,6 @@ _MATCH_DEPTH = 8
 
 def _completeness_report(check_id, scheme, term, bound, instance, match_related=None):
     reach, _ = tau_exploration(encode(scheme, term), bound)
-    cong1 = _unfolding_table()
     per_reduct = []
     ok = True
     for p2 in reduce_once(normalize(term)):
@@ -234,7 +215,7 @@ def _completeness_report(check_id, scheme, term, bound, instance, match_related=
         hit = None
         for state, d in zip(reach.states, reach.dist):
             if match_related is None:
-                matched = cong1(state, target)
+                matched = congruent(state, target, 1)
             else:
                 matched = check_bisim(match_related, state, target, _MATCH_DEPTH).is_related
             if matched:
@@ -247,14 +228,10 @@ def _completeness_report(check_id, scheme, term, bound, instance, match_related=
     return CheckReport(check_id, instance, "pass" if ok else "fail", details)
 
 
-def check_completeness(
-    scheme: EncodingScheme, term: Process, step_bound: Optional[int] = None
-) -> CheckReport:
+def check_completeness(scheme: EncodingScheme, term: Process) -> CheckReport:
     """Operational completeness: every source reduct is reached by the
     translation within the protocol's step budget."""
-    bound = PROTOCOL_STEPS[scheme] if step_bound is None else step_bound
-    if bound < 1:
-        raise ValueError("step_bound must be >= 1")
+    bound = PROTOCOL_STEPS[scheme]
     instance = {
         "criterion": "c",
         "scheme": scheme.tag,
@@ -285,12 +262,11 @@ def check_soundness(
 
     image = encode(scheme, term)
     factor = PROTOCOL_STEPS[scheme]
-    cong1 = _unfolding_table()
 
     if tag == "i":
         failures = []
         for t in reduce_once(normalize(image)):
-            if not any(cong1(t, _encode(scheme, s2)) for s2 in reduce_once(normalize(term))):
+            if not any(congruent(t, _encode(scheme, s2), 1) for s2 in reduce_once(normalize(term))):
                 failures.append(render_term(t))
         status = "fail" if failures else "pass"
         return CheckReport("criterion-i", instance, status, {"failures": failures})
@@ -304,7 +280,7 @@ def check_soundness(
         matched = False
         if tag == "s":
             reach_t, reach_frontier = tau_exploration(t, factor * depth)
-            matched = any(cong1(u, img) for u in reach_t.states for img in source_images)
+            matched = any(congruent(u, img, 1) for u in reach_t.states for img in source_images)
             saw_unknown = not matched and bool(reach_frontier)
         elif tag == "w":
             eq = criterion.equivalence or SRWRB

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
+from .memo import memo
 from .syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par, Process,
                      Repl, Restrict, Success, _free, fresh_variant, names,
                      substitute)
@@ -69,13 +69,15 @@ def fresh_pair(avoid) -> tuple:
 def encode(scheme: EncodingScheme, p: Process) -> Process:
     """Translate a source term.  Source terms may not mention reserved
     names; every name the translation introduces is bound."""
+    if scheme not in (Boudol, HondaTokoro):
+        raise ValueError(f"unknown encoding scheme {scheme!r}")
     bad = sorted(n for n in names(p) if n.reserved)
     if bad:
         raise ValueError(f"reserved names in source term: {', '.join(map(str, bad))}")
     return _encode(scheme, p)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _encode(scheme: EncodingScheme, p: Process) -> Process:
     match p:
         case Nil() | Success():

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+from . import memo
 from .correspondence import (CheckReport, Criterion, check_completeness,
                              check_lemma, check_soundness,
                              check_success_sensitiveness)
@@ -238,7 +239,7 @@ def _divergence(term, scheme, depth, params) -> CheckReport:
 def _criterion(term, scheme, depth, params) -> CheckReport:
     crit = Criterion(params["criterion"], params.get("equivalence"))
     if crit.tag == "c" and crit.equivalence is None:
-        return check_completeness(scheme, term, params.get("step_bound"))
+        return check_completeness(scheme, term)
     return check_soundness(crit, scheme, term, depth)
 
 
@@ -253,13 +254,13 @@ CHECKS = {
     "divergence": _divergence,
     "criterion": _criterion,
     "lemma": lambda term, scheme, depth, params: check_lemma(
-        params["lemma"], term, depth, Boudol if scheme is None else scheme),
+        params["lemma"], term, depth, scheme),
 }
 
 
 def _run_check(spec: CheckSpec, index: int, term: Process, limits: Limits) -> CheckReport:
     params = dict(spec.params)
-    scheme = params.get("scheme")
+    scheme = params.get("scheme", Boudol)
     if isinstance(scheme, str):
         scheme = scheme_from_string(scheme)
     depth = int(params.get("depth", limits.depth))
@@ -277,13 +278,13 @@ def run_suite(
     limits: Limits = Limits(),
     config: Optional[Mapping] = None,
 ) -> SuiteReport:
-    """Run every check over every corpus element, on the calling thread.
+    """Run each corpus term's checks on the calling thread, then `memo.clear()`.
 
     A failing or crashing check never aborts the suite; unknowns are
     counted apart from failures, and the report order is normalised."""
     results = []
-    for spec in checks:
-        for idx, term in enumerate(corpus):
+    for idx, term in enumerate(corpus):
+        for spec in checks:
             try:
                 report = _run_check(spec, idx, term, limits)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
@@ -294,5 +295,6 @@ def run_suite(
                     {"error": f"{type(exc).__name__}: {exc}"},
                 )
             results.append(((spec.check_id, idx), report))
+        memo.clear()
     results.sort(key=lambda kv: kv[0])
     return SuiteReport(tuple(r for _, r in results), dict(config or {}))

@@ -10,9 +10,9 @@ inconsistently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
+from .memo import memo
 from .semantics import tau_exploration
 from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
                      Restrict, Success)
@@ -38,7 +38,7 @@ def succ() -> Barb:
     return Barb(SUCC)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _raw_barbs(p: Process) -> frozenset:
     match p:
         case Nil() | Hole():

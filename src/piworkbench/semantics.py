@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Optional
 
 from .congruence import normalize
 from .explore import Exploration, explore
+from .memo import memo
 from .syntax import (Input, Name, Output, Par, Process, Repl, Restrict,
                      _free, fresh_names, names, substitute)
 from .text import render_term
@@ -164,11 +165,9 @@ def _fresh_representative(p: Process, universe: frozenset) -> Optional[Name]:
     return pooled[0] if pooled else cands[0]
 
 
-def _steps(p: Process, universe: frozenset, tau_only: bool) -> Optional[tuple]:
+def _steps(p: Process, universe: frozenset) -> Optional[tuple]:
     """Canonical moves of `p`, sorted; None when `p` has a visible move but
     the universe has no name left that is fresh for it."""
-    if tau_only:
-        return _tau_steps(p)
     tmp = _temp_bound_name(p)
     out = set()
     rep = None
@@ -197,7 +196,7 @@ def step_labels(p: Process, universe: Iterable[Name]) -> tuple:
         raise ValueError("universe must contain the free names of the term")
     if not universe - names(p):
         raise ValueError("universe must contain a name fresh for the term")
-    return _steps(p, universe, tau_only=False)
+    return _steps(p, universe)
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ def _frontier(ex: Exploration, tau_only: bool) -> frozenset:
     )
 
 
-@lru_cache(maxsize=None)
+@memo
 def reduce_once(p: Process) -> tuple:
     """Canonical tau-successors, sorted: by the Harmony Lemma, the one-step
     reducts up to structural congruence.  The only cache of tau steps."""
@@ -274,7 +273,7 @@ def build_fragment(
     root = normalize(p)
     uni = default_universe(root, universe_extra) if universe is None else frozenset(universe)
     tau_only = label_mode == "tau_only"
-    moves = _tau_steps if tau_only else partial(_steps, universe=uni, tau_only=False)
+    moves = _tau_steps if tau_only else partial(_steps, universe=uni)
     ex = explore(root, moves, depth)
     return LtsFragment(
         states=tuple(ex.states),

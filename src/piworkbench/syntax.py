@@ -16,9 +16,11 @@ import itertools
 import threading
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from typing import Iterator, Mapping, Union
 from weakref import ref
+
+from .memo import memo
 
 # (class, *fields) -> weak reference to the one live instance
 _TABLE: dict = {}
@@ -201,7 +203,7 @@ class NameSets:
     all: frozenset
 
 
-@lru_cache(maxsize=None)
+@memo
 def _free(p: Process) -> frozenset:
     match p:
         case Nil() | Success() | Hole():
@@ -219,7 +221,7 @@ def _free(p: Process) -> frozenset:
     raise TypeError(f"not a process: {p!r}")
 
 
-@lru_cache(maxsize=None)
+@memo
 def _bound(p: Process) -> frozenset:
     match p:
         case Nil() | Success() | Hole():
@@ -247,7 +249,7 @@ def names(p: Process) -> frozenset:
     return _free(p) | _bound(p)
 
 
-@lru_cache(maxsize=None)
+@memo
 def size(p: Process) -> int:
     """Node count of the term."""
     match p:
@@ -260,7 +262,7 @@ def size(p: Process) -> int:
     raise TypeError(f"not a process: {p!r}")
 
 
-@lru_cache(maxsize=None)
+@memo
 def is_async(p: Process) -> bool:
     """True iff every output subterm has continuation 0."""
     match p:
@@ -301,7 +303,7 @@ def substitute_all(p: Process, mapping: Mapping[Name, Name]) -> Process:
     return _subst(p, items)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _subst(p: Process, items) -> Process:
     fp = _free(p)
     items = tuple((y, w) for y, w in items if y in fp)
@@ -350,7 +352,7 @@ def fresh_names(template: str, avoid, start: int = 0) -> Iterator[Name]:
             yield n
 
 
-@lru_cache(maxsize=None)
+@memo
 def alpha_normalize(p: Process) -> Process:
     """Canonical alpha-representative.
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .memo import memo
 from .syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par, Process,
                      Repl, Restrict, Success)
 
@@ -162,7 +162,7 @@ def _render_factor(p: Process) -> str:
     return f"({render_term(p)})" if isinstance(p, Par) else render_term(p)
 
 
-@lru_cache(maxsize=None)
+@memo
 def render_term(p: Process) -> str:
     """Deterministic pretty-printer; inverse of parse_term on canonical
     (left-associated) terms, and inverse up to alpha elsewhere."""

@@ -1,6 +1,6 @@
 import pytest
 
-from piworkbench import congruence, correspondence
+from piworkbench import congruence, memo
 from piworkbench.congruence import normalize
 from piworkbench.correspondence import (Criterion, check_completeness,
                                         check_compositionality, check_lemma,
@@ -214,25 +214,28 @@ UNFOLDING_CHECKS = {
 
 @pytest.mark.parametrize("check", list(UNFOLDING_CHECKS))
 def test_check_builds_each_terms_unfoldings_once(monkeypatch, check):
-    # every comparison up to one unfolding goes through the check's own
-    # table, so each distinct term's variant set is built once per check
-    calls = []
-    variants = congruence._variants
+    # every comparison up to one unfolding goes through `congruence._variants`,
+    # the one table of unfoldings, keyed by normal form; in `congruence` only
+    # `_variants` explores, so with the tables emptied before each term every
+    # explored root is one build, and each is a normal form
+    roots = []
+    explore = congruence.explore
 
-    def counting(p, budget):
-        calls.append(p)
-        return variants(p, budget)
+    def counting(root, step, bound):
+        roots.append(root)
+        return explore(root, step, bound)
 
-    monkeypatch.setattr(congruence, "_variants", counting)
-    monkeypatch.setattr(correspondence, "_variants", counting, raising=False)
+    monkeypatch.setattr(congruence, "explore", counting)
     run, status = UNFOLDING_CHECKS[check]
     cfg = GenConfig(seed=3, max_size=10, communication_bias=0.9)
     built = 0
     # two independent redexes: each image reduct meets every source image
     two_redexes = parse_term("x!a | x?(y).0 | z!b | z?(w).0")
     for t in [*generate_corpus(cfg, 40), two_redexes]:
-        calls.clear()
+        memo.clear()
+        roots.clear()
         assert status in (None, run(t).status)
-        assert len(calls) == len(set(calls)), render_term(t)
-        built += len(calls)
+        assert len(roots) == len(set(roots)), render_term(t)
+        assert all(normalize(r) is r for r in roots), render_term(t)
+        built += len(roots)
     assert built > 0

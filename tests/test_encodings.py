@@ -83,6 +83,11 @@ def test_encode_fresh_avoidance_matches_clause():
     assert u == U1
 
 
+def test_encode_rejects_a_missing_scheme():
+    with pytest.raises(ValueError):
+        encode(None, parse_term("x!z"))
+
+
 def test_context_univariate_validation():
     with pytest.raises(ValueError):
         Context(Par(Hole(1), Hole(1)), 1)

@@ -55,6 +55,10 @@ def _universes(root):
     return (("default", default_universe(root)), ("exhausted", frozenset(_free(root))))
 
 
+def _moves(uni, tau_only: bool):
+    return _tau_steps if tau_only else partial(_steps, universe=uni)
+
+
 @pytest.mark.parametrize("label_mode", ["all_labels", "tau_only"])
 def test_has_moves_equals_successor_emptiness(label_mode):
     tau_only = label_mode == "tau_only"
@@ -62,9 +66,10 @@ def test_has_moves_equals_successor_emptiness(label_mode):
     for p in CORPUS:
         root = normalize(p)
         for _, uni in _universes(root):
-            states = explore(root, partial(_steps, universe=uni, tau_only=tau_only), 2).states
+            moves = _moves(uni, tau_only)
+            states = explore(root, moves, 2).states
             for s in states:
-                old = _steps(s, uni, tau_only)
+                old = moves(s)
                 exhausted += old is None
                 assert has_moves(s, tau_only) == (old != ()), s
     if not tau_only:
@@ -78,7 +83,7 @@ def test_fragment_frontier_equals_old_probe(label_mode, depth):
     for p in CORPUS:
         root = normalize(p)
         for _, uni in _universes(root):
-            moves = partial(_steps, universe=uni, tau_only=tau_only)
+            moves = _moves(uni, tau_only)
             ex = explore(root, moves, depth)
             frag = build_fragment(p, depth, label_mode=label_mode, universe=uni)
             assert frag.states == tuple(ex.states)

@@ -8,7 +8,7 @@ from piworkbench import harness
 from piworkbench.harness import (CheckSpec, GenConfig, Limits, generate_corpus,
                                  run_suite)
 from piworkbench.syntax import Input, Output, Par, Repl, is_async, names, size
-from piworkbench.text import render_term
+from piworkbench.text import parse_term, render_term
 
 
 def test_generation_deterministic():
@@ -138,6 +138,31 @@ def test_run_suite_runs_every_check_on_the_calling_thread():
         rep = run_suite(corpus, checks)
     assert len(rep.reports) == len(threads) == 12
     assert set(threads) == {threading.get_ident()}
+
+
+# one spec per check kind, without its scheme
+UNSCHEMED = [
+    ("barb-preservation", {}),
+    ("chan-barb-preservation", {}),
+    ("bisim-validity", {"relation": "wbb"}),
+    ("success", {"depth": 3}),
+    ("divergence", {"depth": 3}),
+    ("criterion", {"criterion": "c"}),
+    ("lemma", {"lemma": "l6", "depth": 3}),
+]
+
+
+@pytest.mark.parametrize("kind,params", UNSCHEMED, ids=[k for k, _ in UNSCHEMED])
+def test_spec_without_scheme_checks_boudol(kind, params):
+    corpus = (parse_term("x!z.y!w"), parse_term("x!a | x?(y).y!b"), parse_term("!x?(y).ok"))
+    unschemed = run_suite(corpus, [CheckSpec("k", kind, params)], Limits(depth=4))
+    boudol = run_suite(corpus, [CheckSpec("k", kind, {**params, "scheme": "boudol"})],
+                       Limits(depth=4))
+    assert unschemed.to_dict() == boudol.to_dict()
+    assert not any("error" in r.details for r in unschemed.reports)
+    if kind == "barb-preservation":
+        # T_HT turns the output x!z into an input on x
+        assert unschemed.reports[0].status == "pass"
 
 
 def test_malformed_check_spec():
