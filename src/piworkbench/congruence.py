@@ -40,8 +40,16 @@ def normalize(p: Process) -> Process:
 
 @memo
 def _normalize(p: Process) -> Process:
-    skip = frozenset(n for n in _free(p) if n.reserved and _LEVEL_RE.match(n.ident))
-    return _canon(p, (), 0, skip)
+    return _canon(p, (), 0, _level_names(p, ()))
+
+
+def _level_names(p: Process, env: tuple) -> frozenset:
+    """The level names among the images of the free names of `p` under the
+    renaming `env`: the names `_canon` must skip so that its binders never
+    capture them."""
+    m = dict(env)
+    images = (m.get(n, n) for n in _free(p))
+    return frozenset(w for w in images if w.reserved and _LEVEL_RE.match(w.ident))
 
 
 def _restrict(env: tuple, p: Process) -> tuple:
@@ -127,36 +135,42 @@ _ORDER_CAP = 24
 def _binder_orders(live: list, comps: list, env: tuple):
     """Candidate canonical orders of a restriction block.
 
-    Binders are partitioned by an order-independent usage signature:
-    each component is rendered with the outer canonical renaming applied,
-    its own binders alpha-normalised, this binder marked self and the
-    others marked by their current group.  The partition is refined until
-    stable; only tied binders are permuted, capped at _ORDER_CAP
-    candidates.  Residual ties are almost always genuine block
-    automorphisms, for which every order renders identically."""
+    Binders are partitioned by an order-independent usage signature: the
+    sorted canonical renders of the components that use the binder, each
+    read from the `_canon` table under the outer renaming plus a blinding
+    that marks this binder self and the component's other binders by their
+    current group.  No blinded copy is built: `_canon` under a renaming
+    renders like the normal form of the renamed component, given the level
+    names that the renaming brings in as skipped names.  The partition is
+    refined until stable or discrete; only tied binders are permuted,
+    capped at _ORDER_CAP candidates.  Residual ties are almost always
+    genuine block automorphisms, for which every order renders
+    identically."""
     if len(live) <= 1:
         return [tuple(live)]
 
-    env_map = dict(env)
+    # per using component: its live binders, the outer renaming of its
+    # free names and the level names that renaming brings in (markers are
+    # never level names, so the blinding brings in none)
+    uses = []
+    for c in comps:
+        own = [t for t in live if t in _free(c)]
+        if own:
+            outer = _restrict(env, c)
+            uses.append((c, own, outer, _level_names(c, outer)))
     group_of = {t: 0 for t in live}
 
     def signature(t):
-        # canonical render of the env-applied, binder-blinded component:
         # invariant across congruent presentations of the level
-        blind = {
-            **env_map,
-            **{
-                u: (_SELF if u == t else Name(f"g{group_of[u]}#", reserved=True))
-                for u in live
-            },
-        }
-        return tuple(
-            sorted(
-                render_term(_normalize(substitute_all(c, blind)))
-                for c in comps
-                if t in _free(c)
-            )
-        )
+        sigs = []
+        for c, own, outer, skip in uses:
+            if t in own:
+                blind = tuple(
+                    (u, _SELF if u == t else Name(f"g{group_of[u]}#", reserved=True))
+                    for u in own
+                )
+                sigs.append(render_term(_canon(c, outer + blind, 0, skip)))
+        return tuple(sorted(sigs))
 
     while True:
         # refine only: the key keeps the old group, so partitions never merge
@@ -168,7 +182,8 @@ def _binder_orders(live: list, comps: list, env: tuple):
         for idx, key in enumerate(sorted(buckets)):
             for t in buckets[key]:
                 new_group_of[t] = idx
-        if new_group_of == group_of:
+        # a discrete partition cannot be refined further
+        if new_group_of == group_of or len(buckets) == len(live):
             break
         group_of = new_group_of
 

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from _oracle import enum_terms, oracle_classes, scramble
-from piworkbench.congruence import congruent, normalize, unfold_once
-from piworkbench.syntax import NIL, Name, free_names, size
+from piworkbench.congruence import (_canon, _level_names, _normalize, congruent, normalize,
+                                    unfold_once)
+from piworkbench.harness import GenConfig, generate_corpus
+from piworkbench.syntax import NIL, Name, free_names, size, substitute_all
 from piworkbench.text import parse_term, render_term
 
 
@@ -151,6 +153,37 @@ def test_congruent_true_on_scrambled_larger_terms():
         for _ in range(8):
             q = scramble(p, rng, steps=8)
             assert congruent(p, q, 0)
+
+
+def test_canon_under_a_renaming_renders_as_the_renamed_normal_form():
+    # the law that restriction-block refinement reads its signatures by:
+    # `_canon` under a renaming, skipping the level names it brings in,
+    # renders like the normal form of the renamed term
+    rng = random.Random(41)
+    # user names (some also bound in the terms), level names and the
+    # markers that blind restriction binders
+    targets = ([Name(c) for c in "abx"]
+               + [Name(f"r{i}", reserved=True) for i in range(2)]
+               + [Name(m, reserved=True) for m in ("s#", "g0#", "g1#")])
+    cfg = GenConfig(seed=41, max_size=12, allow_replication=True, communication_bias=0.5,
+                    weights={"output": 2.0, "input": 4.0, "par": 2.0, "restrict": 4.0,
+                             "repl": 0.5})
+    terms = [t for t in generate_corpus(cfg, 150) if free_names(t).free]
+    terms += [normalize(t) for t in terms]
+    checked = captures = 0
+    for p in terms:
+        free = sorted(free_names(p).free)
+        for _ in range(4):
+            env = tuple((n, rng.choice(targets)) for n in free)
+            skip = _level_names(p, env)
+            got = render_term(_canon(p, env, 0, skip))
+            want = render_term(_normalize(substitute_all(p, dict(env))))
+            assert got == want, (render_term(p), env)
+            checked += 1
+            captures += render_term(_canon(p, env, 0, frozenset())) != want
+    assert checked >= 800
+    # the corpus exercises the skip set: without it, binders capture
+    assert captures >= 50
 
 
 def _temp_named_normal_forms() -> list:
