@@ -126,6 +126,8 @@ def check_lemma(
     lemma_id = lemma_id.lower()
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     instance = {"lemma": lemma_id, "term": render_term(term), "depth": depth}
     details: dict = {}
 

@@ -17,7 +17,6 @@ root and rendered only once chosen.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
@@ -127,22 +126,18 @@ class Verdict:
 
 class Saturation(NamedTuple):
     """Weak-transition data of one fragment, per state: its tau* closure as
-    (frozenset of indices, closed) and, in weak mode, its =alpha=> moves as
-    (moves, complete) with move = (Label, target index)."""
+    (frozenset of indices, closed) and, for an all-labels fragment, its
+    =alpha=> moves as (moves, complete) with move = (Label, target index);
+    a tau-only fragment has no visible moves, so `weak_moves` is None."""
 
     tau_closure: tuple
     weak_moves: Optional[tuple]
 
 
-def saturate(frag: LtsFragment, mode: str = "weak") -> Saturation:
-    """Weak-transition data of a fragment.
-
-    Weak mode precomputes tau* closures and the composed =alpha=> moves;
-    branching mode keeps single steps and exposes tau* reachability only.
-    Completeness flags record whether any of it was cut off by a frontier.
-    """
-    if mode not in ("weak", "branching"):
-        raise ValueError(f"unknown saturation mode {mode!r}")
+def saturate(frag: LtsFragment) -> Saturation:
+    """Weak-transition data of a fragment: tau* closures, and the composed
+    =alpha=> moves when the fragment holds every label.  Completeness flags
+    record whether any of it was cut off by a frontier."""
     n = len(frag.states)
     closures = []
     for i in range(n):
@@ -156,7 +151,7 @@ def saturate(frag: LtsFragment, mode: str = "weak") -> Saturation:
                     stack.append(t)
         closures.append((frozenset(seen), frag.frontier.isdisjoint(seen)))
     weak = None
-    if mode == "weak":
+    if frag.label_mode == "all_labels":
         weak = []
         for i in range(n):
             cl, complete = closures[i]
@@ -237,10 +232,11 @@ class _Engine:
     are built only for the pairs a check asks about and for the pairs
     reachable from them through the pairs obligations name, their closure;
     no obligation names a pair outside its own pair's closure.  `refine`
-    removes failing pairs exactly as repeated sorted sweeps over every pair
-    would: each removal keeps its sweep round and the blames recorded at
-    that moment, so verdicts and witnesses do not depend on how much of
-    the game was explored."""
+    sweeps the pairs of each newly explored closure in sorted order, and a
+    pair removed by an earlier refinement leaves at its own round, so each
+    removal keeps the round and blames that sweeps over every pair would
+    give it: verdicts and witnesses do not depend on how much of the game
+    was explored."""
 
     def __init__(self, kind: RelationKind, fa: LtsFragment, fb: LtsFragment, wset: tuple):
         self.kind = kind
@@ -248,8 +244,7 @@ class _Engine:
         self.fb = fb
         self.wset = wset
         self.sides = {"left": (fa, fb), "right": (fb, fa)}
-        mode = "branching" if kind.branching else "weak"
-        self.sat = {"left": saturate(fa, mode), "right": saturate(fb, mode)}
+        self.sat = {"left": saturate(fa), "right": saturate(fb)}
         if kind.reduction_based:
             obs_kinds = _OBSERVED[kind.kind]
             self.obs = {
@@ -480,54 +475,39 @@ class _Engine:
 
     def refine(self, pairs, strict: bool, dead: dict) -> tuple:
         """Remove the pairs of `pairs` that fail a clause (or, when strict,
-        are tainted), as sweeps over them in sorted order would, repeated
-        until a sweep removes nothing.
+        are tainted) by sweeps over them in sorted order, repeated until a
+        sweep removes nothing.
 
         Pairs outside `pairs` are already decided: `dead` maps those that
         are removed to their sweep round (0: before the first sweep), and
-        the rest stay live.  A pair is evaluated in the first sweep and
-        again only in the first sweep that reaches it after a pair it names
-        was removed, so each removal falls in the same round, with the same
-        blames, as in a sweep over every pair.  Returns (rounds, blames) of
-        the pairs removed here."""
-        todo = set(pairs)
-        users = {}
-        for pair in todo:
-            for q in self.deps[pair]:
-                users.setdefault(q, []).append(pair)
-        live = todo | {q for q in users if dead.get(q, 1) > 0}
-        events = sorted((dead[q], q) for q in users if dead.get(q, 0) > 0)
+        the rest stay live.  A named pair removed in round r leaves the
+        relation at its place in sweep r, which counts as a change, and the
+        sweeps go on at least until that round, so each removal here falls
+        in the same round, with the same blames, as in sweeps over every
+        pair.  Returns (rounds, blames) of the pairs removed here."""
+        named = {q for pair in pairs for q in self.deps[pair]}
+        events = {q: dead[q] for q in named if dead.get(q, 0) > 0}
+        live = set(pairs) | {q for q in named if dead.get(q, 1) > 0}
+        order = sorted(set(pairs) | events.keys())
+        last = max(events.values(), default=0)
         rounds, blames = {}, {}
-        due = sorted(todo)  # a sorted list is a heap
-        queued = set(todo)
-        later = set()
-        rnd, ev = 1, 0
-        while True:
-            while due or (ev < len(events) and events[ev][0] == rnd):
-                if ev < len(events) and events[ev][0] == rnd and (not due or events[ev][1] < due[0]):
-                    gone = events[ev][1]
-                    ev += 1
-                else:
-                    gone = heapq.heappop(due)
-                    queued.discard(gone)
-                    fails, tainted = self._status(gone, live)
-                    if not (fails or (strict and tainted)):
-                        continue
-                    rounds[gone] = rnd
-                    blames[gone] = tuple(fails)
-                live.discard(gone)
-                for user in users.get(gone, ()):
-                    if user not in live:
-                        continue
-                    if user < gone:
-                        later.add(user)
-                    elif user not in queued:
-                        queued.add(user)
-                        heapq.heappush(due, user)
-            if not later and ev == len(events):
-                return rounds, blames
-            rnd += 1
-            due, queued, later = sorted(later), later, set()
+        rnd, changed = 0, True
+        while changed or rnd < last:
+            rnd, changed = rnd + 1, False
+            for pair in order:
+                if pair not in live:
+                    continue
+                if pair in events:
+                    if events[pair] == rnd:
+                        live.discard(pair)
+                        changed = True
+                    continue
+                fails, tainted = self._status(pair, live)
+                if fails or (strict and tainted):
+                    live.discard(pair)
+                    rounds[pair], blames[pair] = rnd, tuple(fails)
+                    changed = True
+        return rounds, blames
 
     def _status(self, pair, live) -> tuple:
         fails = []

@@ -146,6 +146,10 @@ class CheckSpec:
 class Limits:
     depth: int = 8
 
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+
 
 @dataclass(frozen=True)
 class SuiteReport:

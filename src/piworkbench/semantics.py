@@ -5,8 +5,8 @@ RES, OPEN and the three replication rules); the reduction relation is the
 tau fragment of the labelled one, which by the Harmony Lemma represents
 reduction up to structural congruence.  Fragments, weak barbs and
 divergence are bounded explorations of these steps by the shared explorer
-(`explore`); a fragment is plain data: states, transitions, frontier and
-the explorer's index and out-edges.
+(`explore`); a fragment is plain data: states, their moves, frontier and
+the explorer's index.
 """
 
 from __future__ import annotations
@@ -203,21 +203,24 @@ def step_labels(p: Process, universe: Iterable[Name]) -> tuple:
 class LtsFragment:
     """Bounded, canonical fragment of the transition system.
 
-    states[0] is the root; transitions hold state indices.  States in
-    `frontier` have derivable successors that were not expanded.  `index`
-    maps a state to its number and `out[i]` holds the (label, target)
-    moves of state i, both as the explorer built them.
+    states[0] is the root and `out[i]` holds the (label, target index)
+    moves of state i.  States in `frontier` have derivable successors that
+    were not expanded.  `index` maps a state to its number, as the explorer
+    built it.
     """
 
     states: tuple
-    transitions: tuple  # (source index, Label, target index)
-    root: int
+    out: tuple
     frontier: frozenset
-    depth_bound: int
-    universe: tuple
     label_mode: str
     index: dict = field(compare=False, repr=False)
-    out: tuple = field(compare=False, repr=False)
+
+    root = 0
+
+    @property
+    def transitions(self) -> tuple:
+        """Every move as (source index, Label, target index)."""
+        return tuple((i, a, j) for i, moves in enumerate(self.out) for a, j in moves)
 
 
 def has_moves(p: Process, tau_only: bool) -> bool:
@@ -277,14 +280,10 @@ def build_fragment(
     ex = explore(root, moves, depth)
     return LtsFragment(
         states=tuple(ex.states),
-        transitions=tuple((i, a, j) for i, out in enumerate(ex.out) for a, j in out),
-        root=0,
+        out=tuple(map(tuple, ex.out)),
         frontier=_frontier(ex, tau_only),
-        depth_bound=depth,
-        universe=tuple(sorted(uni)),
         label_mode=label_mode,
         index=ex.index,
-        out=tuple(map(tuple, ex.out)),
     )
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from piworkbench.cli import export_dot, main
+from piworkbench.correspondence import LEMMA_IDS
 from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import build_fragment
@@ -131,6 +132,12 @@ def test_cli_validate_report(term_file, capsys):
     assert doc["summary"]["pass"] == 5
     assert len(doc["reports"]) == 5
     assert doc["config"]["corpus_seed"] == 3
+    # a depth below 1 is a usage error, not a corpus of failed checks
+    assert main([
+        "validate", "--scheme", "boudol", "--kind", "wbb", "--depth", "0",
+        "--corpus-seed", "3", "--corpus-size", "5", "--max-size", "5",
+    ]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_correspondence(term_file, capsys):
@@ -151,3 +158,5 @@ def test_cli_lemma(term_file, capsys):
     src = term_file("s.pi", "x!z | x?(y).0")
     assert main(["lemma", "--id", "l5", src]) == 0
     assert main(["lemma", "--id", "l6", "--scheme", "ht", src]) == 0
+    for lemma_id in LEMMA_IDS:
+        assert main(["lemma", "--id", lemma_id, "--depth", "-3", src]) == 3

@@ -31,6 +31,9 @@ def test_saturate_trivial_fragment():
     sat = saturate(build_fragment(parse_term("0"), 3))
     assert sat.tau_closure[0] == (frozenset({0}), True)
     assert sat.weak_moves[0] == ((), True)
+    sat = saturate(build_fragment(parse_term("0"), 3, label_mode="tau_only"))
+    assert sat.tau_closure[0] == (frozenset({0}), True)
+    assert sat.weak_moves is None
 
 
 def test_saturate_weak_edge_through_tau():

@@ -212,6 +212,8 @@ def test_tau_steps_are_derived_once_by_reduce_once(monkeypatch):
     # that reduce_once cached; none of them derives them again
     p = parse_term("!(x!a | x?(y).y!b) | x?(z).z!c | b?(v).0")
     first = build_fragment(p, 4, label_mode="tau_only")
+    assert first.transitions == tuple(
+        (i, a, j) for i, moves in enumerate(first.out) for a, j in moves)
     calls = []
     steps = semantics._steps
 
