@@ -19,6 +19,7 @@ from .encodings import encode, scheme_from_string
 from .equivalences import KINDS, RelationKind, check_bisim
 from .harness import (CHECKS, CheckSpec, GenConfig, Limits, SuiteReport,
                       generate_corpus, run_suite)
+from .memo import paused_gc
 from .observables import strong_barbs, weak_barbs
 from .semantics import LtsFragment, Tau, build_fragment, render_label
 from .text import ParseError, parse_term, render_term
@@ -254,7 +255,8 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        return args.fn(args)
+        with paused_gc():
+            return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

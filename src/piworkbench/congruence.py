@@ -18,8 +18,7 @@ from typing import Iterator
 from .explore import explore, unlabelled
 from .memo import memo
 from .syntax import (NIL, Hole, Input, Name, Nil, Output, Par, Process, Repl,
-                     Restrict, Success, _free, fresh_names, names,
-                     substitute_all)
+                     Restrict, Success, _free, fresh_names)
 from .text import render_term
 
 _LEVEL_RE = re.compile(r"r\d+$")
@@ -78,40 +77,41 @@ def _canon(p: Process, env: tuple, depth: int, skip: frozenset) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-def _peel(p: Process, ren: dict, temps: list, comps: list, fresh: Iterator) -> None:
-    # Flatten the parallel level, lifting every restriction binder to a
-    # temp name fresh for the level (pure alpha + maximal outward scope
-    # extrusion).
+def _peel(p: Process, env: tuple, ren: dict, parts: list, n: int) -> int:
+    # Flatten the parallel level (pure alpha + maximal outward scope
+    # extrusion): restriction binders are numbered in peel order, and each
+    # component is kept as it is, with its local renaming (free name ->
+    # binder number) and the outer renaming of its other free names.
+    # Returns the number of binders peeled so far.
     match p:
         case Par(l, r):
-            _peel(l, ren, temps, comps, fresh)
-            _peel(r, ren, temps, comps, fresh)
+            return _peel(r, env, ren, parts, _peel(l, env, ren, parts, n))
         case Restrict(b, body):
-            tmp = next(fresh)
-            temps.append(tmp)
-            _peel(body, {**ren, b: tmp}, temps, comps, fresh)
+            return _peel(body, env, {**ren, b: n}, parts, n + 1)
         case Nil():
-            pass
+            return n
         case _:
-            comps.append(substitute_all(p, ren))
+            fp = _free(p)
+            local = tuple((y, k) for y, k in ren.items() if y in fp)
+            outer = tuple((y, w) for y, w in env if y in fp and y not in ren)
+            parts.append((p, local, outer))
+            return n
 
 
 def _canon_level(p: Process, env: tuple, depth: int, skip: frozenset) -> Process:
-    temps: list = []
-    comps: list = []
-    _peel(p, {}, temps, comps, fresh_names("tmp{}", names(p)))
-    if not comps:
+    parts: list = []
+    _peel(p, env, {}, parts, 0)
+    if not parts:
         return NIL
-    live = [t for t in temps if any(t in _free(c) for c in comps)]
-
+    live = sorted({k for _, local, _ in parts for _, k in local})
+    inner_depth = depth + len(live)
     best = None
     best_text = None
-    for order in _binder_orders(live, comps, env):
-        assign = tuple((t, _level_name(depth + i, skip)) for i, t in enumerate(order))
-        env2 = env + assign
-        inner_depth = depth + len(live)
+    for order in _binder_orders(live, parts):
+        level = {k: _level_name(depth + i, skip) for i, k in enumerate(order)}
         cs = sorted(
-            (_canon(c, _restrict(env2, c), inner_depth, skip) for c in comps),
+            (_canon(c, outer + tuple((y, level[k]) for y, k in local), inner_depth, skip)
+             for c, local, outer in parts),
             key=render_term,
         )
         body = cs[0]
@@ -132,44 +132,45 @@ _SELF = Name("s#", reserved=True)
 _ORDER_CAP = 24
 
 
-def _binder_orders(live: list, comps: list, env: tuple):
-    """Candidate canonical orders of a restriction block.
+def _binder_orders(live: list, parts: list):
+    """Candidate canonical orders of a restriction block, as tuples of the
+    binder numbers of `_peel`.
 
     Binders are partitioned by an order-independent usage signature: the
     sorted canonical renders of the components that use the binder, each
     read from the `_canon` table under the outer renaming plus a blinding
-    that marks this binder self and the component's other binders by their
-    current group.  No blinded copy is built: `_canon` under a renaming
-    renders like the normal form of the renamed component, given the level
-    names that the renaming brings in as skipped names.  The partition is
-    refined until stable or discrete; only tied binders are permuted,
-    capped at _ORDER_CAP candidates.  Residual ties are almost always
-    genuine block automorphisms, for which every order renders
-    identically."""
+    that maps the component's local names to markers: this binder's to
+    self, the others' to their current group.  No blinded copy is built:
+    `_canon` under a renaming renders like the normal form of the renamed
+    component, given the level names that the renaming brings in as
+    skipped names.  The partition is refined until stable or discrete; only
+    tied binders are permuted, capped at _ORDER_CAP candidates.  Residual
+    ties are almost always genuine block automorphisms, for which every
+    order renders identically."""
     if len(live) <= 1:
         return [tuple(live)]
 
-    # per using component: its live binders, the outer renaming of its
-    # free names and the level names that renaming brings in (markers are
-    # never level names, so the blinding brings in none)
-    uses = []
-    for c in comps:
-        own = [t for t in live if t in _free(c)]
-        if own:
-            outer = _restrict(env, c)
-            uses.append((c, own, outer, _level_names(c, outer)))
-    group_of = {t: 0 for t in live}
+    # per binder, the components that use it: each with its local renaming,
+    # its outer renaming and the level names the outer renaming brings in
+    # (local names count as markers, which are never level names, even
+    # when a local name is spelled like one)
+    users: dict = {k: [] for k in live}
+    for c, local, outer in parts:
+        if local:
+            use = (c, local, outer, _level_names(c, outer + tuple((y, _SELF) for y, _ in local)))
+            for _, k in local:
+                users[k].append(use)
+    group_of = {k: 0 for k in live}
 
     def signature(t):
         # invariant across congruent presentations of the level
         sigs = []
-        for c, own, outer, skip in uses:
-            if t in own:
-                blind = tuple(
-                    (u, _SELF if u == t else Name(f"g{group_of[u]}#", reserved=True))
-                    for u in own
-                )
-                sigs.append(render_term(_canon(c, outer + blind, 0, skip)))
+        for c, local, outer, skip in users[t]:
+            blind = tuple(
+                (y, _SELF if k == t else Name(f"g{group_of[k]}#", reserved=True))
+                for y, k in local
+            )
+            sigs.append(render_term(_canon(c, outer + blind, 0, skip)))
         return tuple(sorted(sigs))
 
     while True:

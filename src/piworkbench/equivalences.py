@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 from .congruence import normalize
 from .explore import Exploration
+from .memo import paused_gc
 from .observables import CHAN, IN, OUT, SUCC, strong_barbs
 from .semantics import (BoundOutput, FreeOutput, InputLab, LtsFragment, Tau,
                         build_fragment, render_label, universe_fresh_names)
@@ -618,32 +619,33 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
     if depth < 1:
         raise ValueError("depth must be >= 1")
     approx = (_INPUT_UNIVERSE_NOTE,) if kind.kind in ("ewb", "wab") else ()
-    if normalize(p) == normalize(q):
-        # the identity relation over the fragment the engine would build is
-        # a bisimulation of every kind here, whatever the exploration bound
-        build, _ = _fragments(kind, p, q, depth)
-        rel = tuple((s, s) for s in build(p).states)
-        return Verdict("related", relation=rel, approximations=approx)
-    eng = _build_engine(kind, p, q, depth)
-    closure = eng.settle([(0, 0)])
-    if (0, 0) in eng.removed:
-        return Verdict("not_related", witness=eng.witness(), approximations=approx)
-    # the strict fixpoint lies inside the loose one, so the strict
-    # refinement starts from the loose survivors
-    survivors = [pair for pair in closure if pair not in eng.removed]
-    failed, _ = eng.refine(survivors, True, dict.fromkeys(eng.removed, 0))
-    if (0, 0) in failed:
-        return Verdict(
-            "unknown",
-            reason="bounded exploration hit a frontier or left the built fragments",
-            approximations=approx,
+    with paused_gc():
+        if normalize(p) == normalize(q):
+            # the identity relation over the fragment the engine would build is
+            # a bisimulation of every kind here, whatever the exploration bound
+            build, _ = _fragments(kind, p, q, depth)
+            rel = tuple((s, s) for s in build(p).states)
+            return Verdict("related", relation=rel, approximations=approx)
+        eng = _build_engine(kind, p, q, depth)
+        closure = eng.settle([(0, 0)])
+        if (0, 0) in eng.removed:
+            return Verdict("not_related", witness=eng.witness(), approximations=approx)
+        # the strict fixpoint lies inside the loose one, so the strict
+        # refinement starts from the loose survivors
+        survivors = [pair for pair in closure if pair not in eng.removed]
+        failed, _ = eng.refine(survivors, True, dict.fromkeys(eng.removed, 0))
+        if (0, 0) in failed:
+            return Verdict(
+                "unknown",
+                reason="bounded exploration hit a frontier or left the built fragments",
+                approximations=approx,
+            )
+        rel = tuple(
+            (eng.fa.states[i], eng.fb.states[j])
+            for i, j in sorted(survivors)
+            if (i, j) not in failed
         )
-    rel = tuple(
-        (eng.fa.states[i], eng.fb.states[j])
-        for i, j in sorted(survivors)
-        if (i, j) not in failed
-    )
-    return Verdict("related", relation=rel, approximations=approx)
+        return Verdict("related", relation=rel, approximations=approx)
 
 
 def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relation) -> tuple:

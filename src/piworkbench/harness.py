@@ -282,23 +282,25 @@ def run_suite(
     limits: Limits = Limits(),
     config: Optional[Mapping] = None,
 ) -> SuiteReport:
-    """Run each corpus term's checks on the calling thread, then `memo.clear()`.
+    """Run each corpus term's checks on the calling thread, with the cyclic
+    collector paused, then `memo.clear()`.
 
     A failing or crashing check never aborts the suite; unknowns are
     counted apart from failures, and the report order is normalised."""
     results = []
     for idx, term in enumerate(corpus):
-        for spec in checks:
-            try:
-                report = _run_check(spec, idx, term, limits)
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                report = CheckReport(
-                    spec.check_id,
-                    {"index": idx, "term": render_term(term)},
-                    "fail",
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                )
-            results.append(((spec.check_id, idx), report))
-        memo.clear()
+        with memo.paused_gc():
+            for spec in checks:
+                try:
+                    report = _run_check(spec, idx, term, limits)
+                except Exception as exc:  # noqa: BLE001 - reported, not raised
+                    report = CheckReport(
+                        spec.check_id,
+                        {"index": idx, "term": render_term(term)},
+                        "fail",
+                        {"error": f"{type(exc).__name__}: {exc}"},
+                    )
+                results.append(((spec.check_id, idx), report))
+            memo.clear()
     results.sort(key=lambda kv: kv[0])
     return SuiteReport(tuple(r for _, r in results), dict(config or {}))

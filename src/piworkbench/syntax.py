@@ -343,7 +343,7 @@ def _subst_binder(b: Name, body: Process, items):
 def fresh_names(template: str, avoid, start: int = 0) -> Iterator[Name]:
     """The reserved names `template.format(i)` for i = start, start + 1,
     ..., skipping those in `avoid`.  Every name the machinery invents comes
-    from here (canonical binders, temps, the bound-name placeholder of
+    from here (canonical binders, the bound-name placeholder of
     transitions, universe names), except the encodings' protocol pairs and
     the primes of `fresh_variant`."""
     for i in itertools.count(start):

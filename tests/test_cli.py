@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -93,7 +94,7 @@ def test_cli_lts_and_dot(term_file, tmp_path, capsys):
                  "--dot", dot, f]) == 0
     out = capsys.readouterr().out
     assert "states 2" in out
-    assert open(dot).read().startswith("digraph lts {")
+    assert Path(dot).read_text().startswith("digraph lts {")
 
 
 def test_cli_barbs(term_file, capsys):

@@ -100,6 +100,34 @@ def test_normalize_idempotent_on_protocol_states():
                 assert normalize(s) == s, render_term(s)
 
 
+# restriction binders that a level's components name alike, each with its
+# alpha-variant over fresh user names: siblings that reuse one binder name,
+# a binder that shadows an outer one, binders spelled like level names
+ALPHA_VARIANTS = [
+    ("(nu a)(a!x) | (nu a)(a?(y).y!a)", "(nu a)(a!x) | (nu b)(b?(y).y!b)"),
+    ("(nu a)(a!b | a!a) | (nu a)(a!b | a?(c).c!a) | (nu a)(a!a)",
+     "(nu u)(u!b | u!u) | (nu v)(v!b | v?(c).c!v) | (nu w)(w!w)"),
+    ("(nu a)(a!b | (nu a)(a!b | a?(c).c!a))", "(nu a)(a!b | (nu d)(d!b | d?(c).c!d))"),
+    ("x?(a).((nu a)(a!x | a?(c).c!a) | a!x)", "x?(a).((nu d)(d!x | d?(c).c!d) | a!x)"),
+    ("(nu a)(a?(z).(nu %r0)(%r0!a | %r0?(q).q!z) | a!x)",
+     "(nu a)(a?(z).(nu u)(u!a | u?(q).q!z) | a!x)"),
+    ("(nu %r0)(nu %r1)(%r0!%r1 | %r1?(c).c!%r0) | x!y",
+     "(nu u)(nu v)(u!v | v?(c).c!u) | x!y"),
+    ("(nu %r1)(nu %r0)(%r0!%r1 | %r1!%r0 | %r0!%r0)",
+     "(nu v)(nu u)(u!v | v!u | u!u)"),
+    ("(nu %r1)(x!%r1 | (nu %r0)(%r0!%r1 | %r0?(q).q!x)) | %r0!%r1",
+     "(nu u)(x!u | (nu v)(v!u | v?(q).q!x)) | %r0!%r1"),
+    ("(nu %r0)(nu %r1)(nu %r2)(%r0!%r1 | %r1!%r2 | %r2!%r0 | %r0?(c).%r2!c)",
+     "(nu u)(nu v)(nu w)(u!v | v!w | w!u | u?(c).w!c)"),
+    # normal forms of this shape, read back as terms: a component's own
+    # binder spelled like a level name must not shift its signature
+    ("(nu %r0)(nu %r1)(%r0?(%r2).%r2!%r0 | %r1?(%r2).0 | w!b | c!%r1)",
+     "(nu u)(nu v)(u?(y).y!u | v?(y).0 | w!b | c!v)"),
+    ("(nu %r0)(nu %r1)(nu %r2)(%r1?(%r3).%r3!%r0 | %r2?(%r3).0 | w!%r2 | b!%r1)",
+     "(nu u)(nu v)(nu t)(v?(y).y!u | t?(y).0 | w!t | b!v)"),
+]
+
+
 def test_normalize_invariant_under_scrambling():
     rng = random.Random(99)
     corpus = [
@@ -108,11 +136,13 @@ def test_normalize_invariant_under_scrambling():
         "!(x!a) | (nu q)(q?(r).0 | q!x)",
         "x?(y).(nu w)(w!y | w?(v).v!y)",
     ]
-    for t in corpus:
-        p = parse_term(t)
+    for t, variant in [(t, t) for t in corpus] + ALPHA_VARIANTS:
+        p = parse_term(t, allow_reserved=True)
+        want = normalize(parse_term(variant, allow_reserved=True))
+        assert normalize(p) == want, t
         for _ in range(5):
             q = scramble(p, rng)
-            assert normalize(q) == normalize(p), render_term(q)
+            assert normalize(q) == want, render_term(q)
 
 
 def test_congruent_agrees_with_rewrite_closure_oracle():

@@ -93,6 +93,19 @@ def test_lemma6_on_communication_example():
         assert rep.passed, rep.details
 
 
+def test_lemma6_cut_off_closure_is_unknown_not_fail():
+    # under Boudol the one target's inert closure needs two steps to reach
+    # the image of the source reduct: at depth 1 the bound, not the lemma,
+    # leaves it unmatched
+    target = "(nu %r0)(nu %r1)(%r0?(%r2).0 | %r1!%r0 | %r1?(%r2).%r2!z)"
+    rep = check_lemma("l6", COMM, depth=1)
+    assert rep.status == "unknown"
+    assert rep.details == {"failures": [], "undecided": [target]}
+    rep = check_lemma("l6", COMM, depth=4)
+    assert rep.status == "pass"
+    assert rep.details == {"failures": [], "undecided": []}
+
+
 def test_lemma_l2star():
     rep = check_lemma("l2star", parse_term("(nu v)(v!a | v?(q).(nu w)(w!q | w?(r).r!b))"), depth=4)
     assert rep.passed

@@ -1,12 +1,10 @@
 """`syntax.fresh_names` and the first reserved name each of its users picks:
-canonical alpha binders (`%b`), normal-form level binders (`%r`), level
-temps (`%tmp`), the transition bound-name placeholder (`%t..'`) and the
-universe's fresh names (`%w`)."""
+canonical alpha binders (`%b`), normal-form level binders (`%r`), the
+transition bound-name placeholder (`%t..'`) and the universe's fresh names
+(`%w`)."""
 
 import itertools
-from unittest import mock
 
-from piworkbench import congruence
 from piworkbench.congruence import normalize
 from piworkbench.semantics import _temp_bound_name, universe_fresh_names
 from piworkbench.syntax import Name, Output, Restrict, NIL, alpha_normalize, fresh_names
@@ -44,24 +42,6 @@ def test_level_binders_start_at_r0():
     assert render_term(normalize(parse_term("(nu a)(x!a)"))) == "(nu %r0)x!%r0"
     taken = parse_term("(nu a)(a!%r0)", allow_reserved=True)
     assert render_term(normalize(taken)) == "(nu %r1)%r1!%r0"
-
-
-def _level_temps(text):
-    seen = []
-    orders = congruence._binder_orders
-
-    def spy(live, comps, env):
-        seen.append(list(live))
-        return orders(live, comps, env)
-
-    with mock.patch.object(congruence, "_binder_orders", spy):
-        congruence._canon_level(parse_term(text, allow_reserved=True), (), 0, frozenset())
-    return seen[0]
-
-
-def test_level_temps_start_at_tmp0():
-    assert _level_temps("(nu a)(x!a)") == [reserved("tmp0")]
-    assert _level_temps("(nu a)(x!a) | y!%tmp0") == [reserved("tmp1")]
 
 
 def test_transition_placeholder_starts_at_t0_prime():
