@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterator
 
 from .explore import explore, unlabelled
 from .memo import memo
@@ -203,41 +202,22 @@ def _binder_orders(live: list, parts: list):
     ]
 
 
-def _positions(p: Process) -> Iterator[tuple]:
-    """Yield (replicated subterm, rebuild function) for every !-node."""
-    match p:
-        case Repl(body):
-            yield p, (lambda new: new)
-        case _:
-            pass
+def unfold_once(p: Process) -> frozenset:
+    """All terms obtained by one application of !P == P | !P, at any
+    position, under prefixes too."""
     match p:
         case Output(c, d, k):
-            for sub, rb in _positions(k):
-                yield sub, (lambda new, rb=rb: Output(c, d, rb(new)))
+            return frozenset(Output(c, d, u) for u in unfold_once(k))
         case Input(c, b, k):
-            for sub, rb in _positions(k):
-                yield sub, (lambda new, rb=rb: Input(c, b, rb(new)))
+            return frozenset(Input(c, b, u) for u in unfold_once(k))
         case Par(l, r):
-            for sub, rb in _positions(l):
-                yield sub, (lambda new, rb=rb: Par(rb(new), r))
-            for sub, rb in _positions(r):
-                yield sub, (lambda new, rb=rb: Par(l, rb(new)))
+            return (frozenset(Par(u, r) for u in unfold_once(l))
+                    | frozenset(Par(l, u) for u in unfold_once(r)))
         case Restrict(b, body):
-            for sub, rb in _positions(body):
-                yield sub, (lambda new, rb=rb: Restrict(b, rb(new)))
+            return frozenset(Restrict(b, u) for u in unfold_once(body))
         case Repl(body):
-            for sub, rb in _positions(body):
-                yield sub, (lambda new, rb=rb: Repl(rb(new)))
-        case _:
-            pass
-
-
-def unfold_once(p: Process) -> frozenset:
-    """All terms obtained by one application of !P == P | !P, left to right."""
-    out = set()
-    for sub, rebuild in _positions(p):
-        out.add(rebuild(Par(sub.body, sub)))
-    return frozenset(out)
+            return frozenset(Repl(u) for u in unfold_once(body)) | {Par(body, p)}
+    return frozenset()
 
 
 @memo

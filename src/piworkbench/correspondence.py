@@ -298,17 +298,10 @@ def check_soundness(
             reach_t, reach_frontier = tau_exploration(t, factor * depth)
             matched = any(congruent(u, img, 1) for u in reach_t.states for img in source_images)
             saw_unknown = not matched and bool(reach_frontier)
-        elif tag == "w":
+        else:  # w matches t itself, g any of its tau-descendants
             eq = criterion.equivalence or SRWRB
-            for img in source_images:
-                v = check_bisim(eq, t, img, depth)
-                if v.is_related:
-                    matched = True
-                    break
-                saw_unknown = saw_unknown or v.is_unknown
-        else:  # g
-            eq = criterion.equivalence or SRWRB
-            for u in tau_exploration(t, factor * depth)[0].states:
+            starts = (t,) if tag == "w" else tau_exploration(t, factor * depth)[0].states
+            for u in starts:
                 for img in source_images:
                     v = check_bisim(eq, u, img, depth)
                     if v.is_related:

@@ -241,6 +241,8 @@ def _divergence(term, scheme, depth, params) -> CheckReport:
 
 
 def _criterion(term, scheme, depth, params) -> CheckReport:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     crit = Criterion(params["criterion"], params.get("equivalence"))
     if crit.tag == "c" and crit.equivalence is None:
         return check_completeness(scheme, term)

@@ -1,10 +1,10 @@
 """Strong and weak barbs, channel barbs and the success predicate.
 
-Barbs are computed structurally: an input or output prefix contributes a
-barb on its channel when it is unguarded and the channel is not
-restricted above it; restriction and replication do not guard, prefixes
-do.  Channel barbs are derived from input/output barbs and never stored
-inconsistently.
+Strong barbs are read from `semantics.caps`, computed structurally: an
+input or output prefix contributes a barb on its channel when it is
+unguarded and the channel is not restricted above it; restriction and
+replication do not guard, prefixes do.  Channel barbs are derived from
+input/output barbs and never stored inconsistently.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .memo import memo
-from .semantics import tau_exploration
-from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
-                     Restrict, Success)
+from .semantics import caps, tau_exploration
+from .syntax import Name, Process
 
 IN = "in"
 OUT = "out"
@@ -39,30 +38,15 @@ def succ() -> Barb:
 
 
 @memo
-def _raw_barbs(p: Process) -> frozenset:
-    match p:
-        case Nil() | Hole():
-            return frozenset()
-        case Success():
-            return frozenset((succ(),))
-        case Output(c, _, _):
-            return frozenset((Barb(OUT, c),))
-        case Input(c, _, _):
-            return frozenset((Barb(IN, c),))
-        case Par(l, r):
-            return _raw_barbs(l) | _raw_barbs(r)
-        case Repl(body):
-            return _raw_barbs(body)
-        case Restrict(b, body):
-            return frozenset(x for x in _raw_barbs(body) if x.chan != b)
-    raise TypeError(f"not a process: {p!r}")
-
-
 def strong_barbs(p: Process) -> frozenset:
-    """All strong barbs, with channel barbs derived."""
-    base = _raw_barbs(p)
-    chans = frozenset(Barb(CHAN, b.chan) for b in base if b.kind in (IN, OUT))
-    return base | chans
+    """All strong barbs, with channel barbs derived, read from the
+    capabilities of `p` (`semantics.caps`)."""
+    outs, ins, _, success = caps(p)
+    barbs = {Barb(OUT, x) for x in outs} | {Barb(IN, x) for x in ins}
+    barbs |= {Barb(CHAN, x) for x in outs | ins}
+    if success:
+        barbs.add(succ())
+    return frozenset(barbs)
 
 
 def weak_barbs(p: Process, depth: int) -> tuple:

@@ -19,8 +19,8 @@ from typing import Iterable, Optional
 from .congruence import normalize
 from .explore import Exploration, explore
 from .memo import memo
-from .syntax import (Input, Name, Output, Par, Process, Repl, Restrict,
-                     _free, fresh_names, names, substitute)
+from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
+                     Restrict, Success, _free, fresh_names, names, substitute)
 from .text import render_term
 
 
@@ -126,10 +126,7 @@ def _raw_transitions(p: Process, w: Name) -> list:
             out = [(a, Par(t, p)) for a, t in base]
             for a, t in base:
                 for b, u in base:
-                    if isinstance(a, FreeOutput) and isinstance(b, InputLab) and a.chan == b.chan:
-                        out.append((TAU, Par(Par(t, substitute(u, w, a.datum)), p)))
-                    if isinstance(a, BoundOutput) and isinstance(b, InputLab) and a.chan == b.chan:
-                        out.append((TAU, Par(Restrict(w, Par(t, u)), p)))
+                    out.extend((TAU, Par(s, p)) for _, s in _sync(a, t, b, u, w))
             return out
         case _:
             return []
@@ -167,19 +164,14 @@ def _fresh_representative(p: Process, universe: frozenset) -> Optional[Name]:
 
 def _steps(p: Process, universe: frozenset) -> Optional[tuple]:
     """Canonical moves of `p`, sorted; None when `p` has a visible move but
-    the universe has no name left that is fresh for it."""
-    tmp = _temp_bound_name(p)
+    the universe has no name left that is fresh for it.  Moves are derived
+    with the universe's fresh representative as their bound name or, when
+    it has none, with a temporary name, which only tau targets hold, bound."""
+    rep = _fresh_representative(p, universe)
     out = set()
-    rep = None
-    for a, t in _raw_transitions(p, tmp):
-        if not isinstance(a, Tau):
-            if rep is None:
-                rep = _fresh_representative(p, universe)
-                if rep is None:
-                    return None
-            if label_bn(a):
-                a = type(a)(a.chan, rep)
-                t = substitute(t, tmp, rep)
+    for a, t in _raw_transitions(p, rep or _temp_bound_name(p)):
+        if rep is None and not isinstance(a, Tau):
+            return None
         out.add((a, normalize(t)))
     return tuple(sorted(out, key=lambda at: (_label_key(at[0]), render_term(at[1]))))
 
@@ -223,13 +215,41 @@ class LtsFragment:
         return tuple((i, a, j) for i, moves in enumerate(self.out) for a, j in moves)
 
 
+@memo
+def caps(p: Process) -> tuple:
+    """What `p` can do at once, by structure: (the subjects of its
+    unguarded outputs, those of its unguarded inputs, whether it has a tau
+    transition, whether it reports success).  The subjects are those of
+    the visible transitions of `_raw_transitions`."""
+    match p:
+        case Output(c, _, _):
+            return frozenset((c,)), frozenset(), False, False
+        case Input(c, _, _):
+            return frozenset(), frozenset((c,)), False, False
+        case Success():
+            return frozenset(), frozenset(), False, True
+        case Par(l, r):
+            louts, lins, ltau, lsucc = caps(l)
+            routs, rins, rtau, rsucc = caps(r)
+            tau = ltau or rtau or not (louts.isdisjoint(rins) and routs.isdisjoint(lins))
+            return louts | routs, lins | rins, tau, lsucc or rsucc
+        case Repl(body):
+            # a body whose outputs meet its inputs has a tau of its own, so
+            # two copies add none
+            return caps(body)
+        case Restrict(y, body):
+            outs, ins, tau, succ = caps(body)
+            return outs - {y}, ins - {y}, tau, succ
+        case Nil() | Hole():
+            return frozenset(), frozenset(), False, False
+    raise TypeError(f"not a process: {p!r}")
+
+
 def has_moves(p: Process, tau_only: bool) -> bool:
-    """Whether `_steps` gives `p` any move (or None), in any universe:
-    the raw transitions are derived, but no target is normalized."""
-    raw = _raw_transitions(p, _temp_bound_name(p))
-    if tau_only:
-        return any(isinstance(a, Tau) for a, _ in raw)
-    return bool(raw)
+    """Whether `_steps` gives `p` any move (or None), in any universe, read
+    from its capabilities: no transition is derived."""
+    outs, ins, tau, _ = caps(p)
+    return tau or (not tau_only and bool(outs or ins))
 
 
 def _frontier(ex: Exploration, tau_only: bool) -> frozenset:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from piworkbench.cli import export_dot, main
-from piworkbench.correspondence import LEMMA_IDS
+from piworkbench.correspondence import CRITERIA, LEMMA_IDS
 from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import build_fragment
@@ -149,6 +149,10 @@ def test_cli_correspondence(term_file, capsys):
     assert doc["summary"]["fail"] == 1
     assert main(["correspondence", "--criterion", "s", "--scheme", "boudol",
                  "--depth", "3", f]) == 0
+    for criterion in CRITERIA:
+        for depth in ("-3", "0"):
+            assert main(["correspondence", "--criterion", criterion, "--scheme", "boudol",
+                         "--depth", depth, f]) == 3
 
 
 def test_cli_lemma(term_file, capsys):

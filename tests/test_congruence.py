@@ -68,12 +68,22 @@ def test_normalize_idempotent_examples():
 
 
 def test_unfold_once_positions():
-    p = parse_term("!(x!a) | y?(q).!(q!b)")
-    got = {render_term(u) for u in unfold_once(p)}
-    assert got == {
-        "x!a | !x!a | y?(q).!q!b",
-        "!x!a | y?(q).(q!b | !q!b)",
+    cases = {
+        "!(x!a) | y?(q).!(q!b)": {
+            "x!a | !x!a | y?(q).!q!b",
+            "!x!a | y?(q).(q!b | !q!b)",
+        },
+        # nested: the outer node, and the inner one under the outer
+        "!(x!a | !y!b)": {
+            "x!a | !y!b | !(x!a | !y!b)",
+            "!(x!a | (y!b | !y!b))",
+        },
+        # under a restriction on the right side of a |
+        "z!c | (nu r)(r?(q).0 | !(r!q))": {"z!c | (nu r)(r?(q).0 | (r!q | !r!q))"},
+        "x?(y).y!a": set(),
     }
+    for text, want in cases.items():
+        assert {render_term(u) for u in unfold_once(parse_term(text))} == want, text
 
 
 def test_fn_preserved_by_normalize():

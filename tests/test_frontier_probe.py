@@ -1,5 +1,7 @@
 """The frontier probe `has_moves` against the probe it replaced: running the
-full successor function and testing its result against ()."""
+full successor function and testing its result against ().  The
+capability table behind it and behind the strong barbs against the raw
+transitions and `reduce_once`."""
 
 from functools import partial
 
@@ -9,10 +11,13 @@ from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.explore import Exploration, explore
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import (Diverges, _steps, _tau_steps,
-                                   build_fragment, default_universe,
-                                   diverges, has_moves, tau_cycle,
-                                   tau_exploration)
+from piworkbench.observables import IN, OUT, strong_barbs
+from piworkbench.semantics import (BoundOutput, Diverges, FreeOutput,
+                                   InputLab, _raw_transitions, _steps,
+                                   _tau_steps, _temp_bound_name,
+                                   build_fragment, caps, default_universe,
+                                   diverges, has_moves, reduce_once,
+                                   tau_cycle, tau_exploration)
 from piworkbench.syntax import _free
 from piworkbench.text import parse_term
 
@@ -96,3 +101,18 @@ def test_tau_exploration_and_diverges_equal_old_probe(depth):
         ex, frontier = tau_exploration(p, depth)
         assert frontier == _old_frontier(ex, _tau_steps), p
         assert diverges(p, depth) == _old_diverges(p, depth), p
+
+
+def test_caps_equal_raw_transitions():
+    for p in CORPUS:
+        root = normalize(p)
+        states = explore(root, partial(_steps, universe=default_universe(root)), 2).states
+        for s in (p, *states):
+            raw = [a for a, _ in _raw_transitions(s, _temp_bound_name(s))]
+            barbs = strong_barbs(s)
+            assert {b.chan for b in barbs if b.kind == OUT} == {
+                a.chan for a in raw if isinstance(a, (FreeOutput, BoundOutput))}, s
+            assert {b.chan for b in barbs if b.kind == IN} == {
+                a.chan for a in raw if isinstance(a, InputLab)}, s
+            _, _, tau, _ = caps(s)
+            assert tau == bool(reduce_once(s)), s

@@ -1,3 +1,5 @@
+import pytest
+
 from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.harness import GenConfig, generate_corpus
@@ -22,6 +24,8 @@ def test_ht_image_swaps_to_input_barb():
 
 def test_nil_has_no_barbs():
     assert strong_barbs(parse_term("0")) == frozenset()
+    with pytest.raises(TypeError, match="not a process"):
+        strong_barbs(x)
 
 
 def test_restriction_blocks_channel():
