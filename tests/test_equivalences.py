@@ -337,3 +337,35 @@ def test_refine_in_batches_matches_sweeps_over_every_pair():
         failed, _ = eng.refine(survivors, True, dict.fromkeys(eng.removed, 0))
         strict_rounds, _ = _sweep_every_pair(eng, strict=True)
         assert set(failed) | set(eng.removed) == set(strict_rounds)
+
+
+def test_bound_outputs_on_different_channels_are_told_apart():
+    # ROADMAP item 7, mutant M1: a bound output must be matched by a bound
+    # output on the same channel; dropping the channel test relates these
+    # two, and the self-audit, which replays the same obligations, agrees
+    p, q = parse_term("(nu z)a!z"), parse_term("(nu z)b!z")
+    for kind in (EWB, WOT, WAB):
+        v = check_bisim(kind, p, q, 4)
+        assert v.is_not_related, (kind.kind, v.status)
+        assert v.witness.category == "output-move", (kind.kind, v.witness)
+
+
+def test_definite_verdicts_stay_put_as_the_depth_grows():
+    # ROADMAP item 7: a deeper fragment holds every state of a shallower
+    # one, so once a verdict is definite it is the answer at every larger
+    # depth; a mutant that treats a barb missing from a cut-off weak-barb
+    # search as a definite failure (M5) breaks this on three terms
+    cfg = GenConfig(seed=7, max_size=10, communication_bias=0.6, allow_replication=True)
+    cases = ((EWB, Boudol), (WOT, Boudol), (EWB, HondaTokoro), (WAB, HondaTokoro),
+             (WBB, Boudol))
+    for term in generate_corpus(cfg, 150):
+        for kind, scheme in cases:
+            image = encode(scheme, term)
+            definite = None
+            for depth in (2, 3, 5):
+                status = check_bisim(kind, term, image, depth).status
+                if definite is not None:
+                    assert status == definite, (
+                        kind.kind, scheme.tag, render_term(term), depth, status, definite)
+                elif status != "unknown":
+                    definite = status
