@@ -8,7 +8,7 @@ from .encodings import (Boudol, Context, EncodingScheme, HondaTokoro, Op,
                         scheme_from_string)
 from .equivalences import (AWBB, EWB, SRWRB, WAB, WBB, WCB, WOT, RelationKind,
                            Verdict, audit_relation, check_bisim,
-                           kind_from_string, saturate)
+                           kind_from_string, relate, saturate)
 from .correspondence import (CheckReport, Criterion, check_completeness,
                              check_compositionality, check_lemma,
                              check_name_invariance, check_soundness,

@@ -8,7 +8,7 @@ from typing import Mapping, Optional
 
 from .congruence import congruent, normalize, unfold_once
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
-from .equivalences import SRWRB, RelationKind, check_bisim
+from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
 from .explore import explore, unlabelled
 from .semantics import reduce_once, tau_exploration
@@ -209,12 +209,7 @@ def check_lemma(
             (undecided if cut_off else failures).append(render_term(q))
     details["failures"] = failures
     details["undecided"] = undecided
-    if failures:
-        status = "fail"
-    elif undecided:
-        status = "unknown"
-    else:
-        status = "pass"
+    status = "fail" if failures else "unknown" if undecided else "pass"
     return CheckReport("lemma-l6", instance, status, details)
 
 
@@ -224,24 +219,20 @@ _MATCH_DEPTH = 8
 
 def _completeness_report(check_id, scheme, term, bound, instance, match_related=None):
     reach, _ = tau_exploration(encode(scheme, term), bound)
-    per_reduct = []
-    ok = True
-    for p2 in reduce_once(normalize(term)):
-        target = _encode(scheme, p2)
-        hit = None
-        for state, d in zip(reach.states, reach.dist):
-            if match_related is None:
-                matched = congruent(state, target, 1)
-            else:
-                matched = check_bisim(match_related, state, target, _MATCH_DEPTH).is_related
-            if matched:
-                hit = d
-                break
-        per_reduct.append({"reduct": render_term(p2), "path_length": hit})
-        if hit is None:
-            ok = False
+    reducts = reduce_once(normalize(term))
+    targets = [_encode(scheme, p2) for p2 in reducts]
+    if match_related is None:
+        matched = lambda pair: congruent(*pair, 1)
+    else:  # one game from every (reached state, target) pair
+        pairs = [(state, target) for target in targets for state in reach.states]
+        statuses = relate(match_related, pairs, _MATCH_DEPTH)
+        matched = {pair for pair, v in zip(pairs, statuses) if v == "related"}.__contains__
+    # states come in BFS order, so the first match is the nearest
+    hits = [next((d for u, d in zip(reach.states, reach.dist) if matched((u, target))), None)
+            for target in targets]
+    per_reduct = [{"reduct": render_term(p2), "path_length": d} for p2, d in zip(reducts, hits)]
     details = {"reducts": per_reduct, "bound": bound}
-    return CheckReport(check_id, instance, "pass" if ok else "fail", details)
+    return CheckReport(check_id, instance, "fail" if None in hits else "pass", details)
 
 
 def check_completeness(scheme: EncodingScheme, term: Process) -> CheckReport:
@@ -267,14 +258,8 @@ def check_soundness(
     tag = criterion.tag
     instance = {"criterion": tag, "scheme": scheme.tag, "term": render_term(term), "depth": depth}
     if tag in ("c", "cp"):
-        return _completeness_report(
-            f"criterion-{tag}",
-            scheme,
-            term,
-            PROTOCOL_STEPS[scheme],
-            instance,
-            match_related=criterion.equivalence,
-        )
+        return _completeness_report(f"criterion-{tag}", scheme, term, PROTOCOL_STEPS[scheme],
+                                    instance, match_related=criterion.equivalence)
 
     image = encode(scheme, term)
     factor = PROTOCOL_STEPS[scheme]
@@ -289,44 +274,28 @@ def check_soundness(
 
     source_images = [_encode(scheme, s) for s in tau_exploration(term, depth)[0].states]
     targets, frontier = tau_exploration(image, factor * depth)
-    failures = []
-    undecided = []
-    for t in targets.states:
-        saw_unknown = False
-        matched = False
-        if tag == "s":
+    if tag == "s":
+        outcomes = []
+        for t in targets.states:
             reach_t, reach_frontier = tau_exploration(t, factor * depth)
-            matched = any(congruent(u, img, 1) for u in reach_t.states for img in source_images)
-            saw_unknown = not matched and bool(reach_frontier)
-        else:  # w matches t itself, g any of its tau-descendants
-            eq = criterion.equivalence or SRWRB
-            starts = (t,) if tag == "w" else tau_exploration(t, factor * depth)[0].states
-            for u in starts:
-                for img in source_images:
-                    v = check_bisim(eq, u, img, depth)
-                    if v.is_related:
-                        matched = True
-                        break
-                    saw_unknown = saw_unknown or v.is_unknown
-                if matched:
-                    break
-        if not matched:
-            if saw_unknown:
-                undecided.append(render_term(t))
+            if any(congruent(u, img, 1) for u in reach_t.states for img in source_images):
+                outcomes.append("related")
             else:
-                failures.append(render_term(t))
-    if failures:
-        status = "fail"
-    elif undecided or frontier:
-        status = "unknown"
+                outcomes.append("unknown" if reach_frontier else "not_related")
     else:
-        status = "pass"
-    return CheckReport(
-        f"criterion-{tag}",
-        instance,
-        status,
-        {"failures": failures, "undecided": undecided, "targets": len(targets.states)},
-    )
+        # w matches t itself, g any of its tau-descendants, to some source
+        # image; one game decides every (start, image) pair of the report
+        starts = [(t,) if tag == "w" else tau_exploration(t, factor * depth)[0].states
+                  for t in targets.states]
+        pairs = dict.fromkeys((u, img) for us in starts for u in us for img in source_images)
+        verdicts = dict(zip(pairs, relate(criterion.equivalence or SRWRB, pairs, depth)))
+        outcomes = [min((verdicts[u, img] for u in us for img in source_images),
+                        key=("related", "unknown", "not_related").index) for us in starts]
+    failures = [render_term(t) for t, o in zip(targets.states, outcomes) if o == "not_related"]
+    undecided = [render_term(t) for t, o in zip(targets.states, outcomes) if o == "unknown"]
+    status = "fail" if failures else "unknown" if undecided or frontier else "pass"
+    details = {"failures": failures, "undecided": undecided, "targets": len(targets.states)}
+    return CheckReport(f"criterion-{tag}", instance, status, details)
 
 
 def check_success_sensitiveness(scheme: EncodingScheme, term: Process, depth: int) -> CheckReport:

@@ -7,18 +7,19 @@ Unknown is sticky: an obligation that touches a frontier state or leads
 outside the built fragments can downgrade Related to Unknown, never
 flip it to NotRelated.
 
-Each check explores the game on the fly from the root pair: obligations
-are built only for the pairs reachable from it, a loose refinement decides
+Each game explores on the fly from its root pairs: obligations are built
+only for the pairs reachable from them, a loose refinement decides
 `not_related`, and a strict one, started from the loose survivors, decides
-`related`.  The relation of a `related` verdict holds the strict survivors
-reachable from the root pair.  A witness is searched breadth-first from the
-root and rendered only once chosen.
+`related`.  `relate` plays one game for many root pairs over shared
+fragments; `check_bisim` is its one-pair case.  The relation of a `related`
+verdict holds the strict survivors reachable from the root pair.  A
+witness is searched breadth-first from the root and rendered only once
+chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional
 
 from .congruence import normalize
@@ -198,21 +199,10 @@ class Blame(NamedTuple):
 
 
 def _divergence_status(frag: LtsFragment, sat: Saturation) -> list:
-    cyclic = set()
-    for i in range(len(frag.states)):
-        for a, t in frag.out[i]:
-            if isinstance(a, Tau) and i in sat.tau_closure[t][0]:
-                cyclic.add(i)
-    out = []
-    for i in range(len(frag.states)):
-        cl, closed = sat.tau_closure[i]
-        if cl & cyclic:
-            out.append("yes")
-        elif closed:
-            out.append("no")
-        else:
-            out.append("unknown")
-    return out
+    cyclic = {i for i, moves in enumerate(frag.out) for a, t in moves
+              if isinstance(a, Tau) and i in sat.tau_closure[t][0]}
+    return ["yes" if cl & cyclic else "no" if closed else "unknown"
+            for cl, closed in sat.tau_closure]
 
 
 def _named_pairs(obs, out: set) -> set:
@@ -248,21 +238,12 @@ class _Engine:
         self.sat = {"left": saturate(fa), "right": saturate(fb)}
         if kind.reduction_based:
             obs_kinds = _OBSERVED[kind.kind]
-            self.obs = {
-                s: [
-                    frozenset(b for b in strong_barbs(t) if b.kind in obs_kinds)
-                    for t in frag.states
-                ]
-                for s, (frag, _) in self.sides.items()
-            }
-            self.weak_obs = {}
+            self.obs, self.weak_obs = {}, {}  # per side: strong, and weak with closedness
             for s, (frag, _) in self.sides.items():
-                per = []
-                for i in range(len(frag.states)):
-                    cl, closed = self.sat[s].tau_closure[i]
-                    found = frozenset().union(*(self.obs[s][j] for j in cl))
-                    per.append((found, closed))
-                self.weak_obs[s] = per
+                obs = self.obs[s] = [frozenset(b for b in strong_barbs(t) if b.kind in obs_kinds)
+                                     for t in frag.states]
+                self.weak_obs[s] = [(frozenset().union(*(obs[j] for j in cl)), closed)
+                                    for cl, closed in self.sat[s].tau_closure]
         if kind.divergence_preserving:
             self.div = {
                 s: _divergence_status(frag, self.sat[s]) for s, (frag, _) in self.sides.items()
@@ -271,6 +252,7 @@ class _Engine:
         self.deps = {}  # explored pair -> the pairs its obligations name
         self.removed = {}  # pair -> sweep round of its removal by the loose refinement
         self.blames = {}  # pair -> the blames recorded when it was removed
+        self.relation = []  # the strict survivors of `decide`, sorted
 
     def obligations(self, pair: tuple) -> tuple:
         obs = self.table.get(pair)
@@ -530,6 +512,20 @@ class _Engine:
         self.blames.update(blames)
         return new
 
+    def decide(self, roots) -> list:
+        """The status of each root pair.  The loose refinement of their
+        closure decides `not_related`; when a root survived it, a strict one
+        from its survivors (the strict fixpoint lies inside the loose one)
+        decides `related` and keeps its survivors, sorted, in `relation`."""
+        closure = self.settle(roots)
+        survivors = [pair for pair in closure if pair not in self.removed]
+        failed = {}
+        if any(root not in self.removed for root in roots):
+            failed, _ = self.refine(survivors, True, dict.fromkeys(self.removed, 0))
+            self.relation = sorted(pair for pair in survivors if pair not in failed)
+        return ["not_related" if r in self.removed else "unknown" if r in failed else "related"
+                for r in roots]
+
     def audit(self, live) -> tuple:
         """Replay every clause against a fixed relation; returns definite
         violations (frontier-induced unknowns are not violations)."""
@@ -557,7 +553,7 @@ class _Engine:
                 (("right", b), (i, j2)) for b, j2 in self.fb.out[j]
             ]
 
-        walk = Exploration((0, 0), moves, len(self.fa.states) * len(self.fb.states))
+        walk = Exploration(((0, 0),), moves, len(self.fa.states) * len(self.fb.states))
         best = None
         level = range(1)
         while level:
@@ -593,58 +589,82 @@ class _Engine:
         )
 
 
-def _fragments(kind: RelationKind, p: Process, q: Process, depth: int) -> tuple:
-    """How a check of p against q builds its fragments: a function from a
-    term to its fragment, over a universe both sides share, and the names
-    input clauses are instantiated with."""
+def _universe(kind: RelationKind, p: Process, q: Process, depth: int) -> Optional[tuple]:
+    """The universe the fragments of a check of p against q share and the
+    names input clauses are instantiated with; None for the reduction kinds,
+    whose fragments are tau-only.  Pairs with one value can share fragments."""
     if kind.reduction_based:
-        return partial(build_fragment, depth=depth, label_mode="tau_only"), ()
+        return None
     shared_free = _free(p) | _free(q)
     extras = universe_fresh_names(names(p) | names(q), max(depth, 1))
-    uni = shared_free | frozenset(extras)
-    build = partial(build_fragment, depth=depth, label_mode="all_labels", universe=uni)
-    return build, tuple(sorted(shared_free | {extras[0]}))
+    return shared_free | frozenset(extras), tuple(sorted(shared_free | {extras[0]}))
 
 
-def _build_engine(kind: RelationKind, p: Process, q: Process, depth: int) -> _Engine:
-    build, wset = _fragments(kind, p, q, depth)
-    return _Engine(kind, build(p), build(q), wset)
+def _fragment(roots, depth: int, universe: Optional[tuple]) -> LtsFragment:
+    mode = "tau_only" if universe is None else "all_labels"
+    return build_fragment(roots, depth, label_mode=mode, universe=universe and universe[0])
+
+
+def _build_engine(kind: RelationKind, pairs: list, depth: int) -> _Engine:
+    """The game over a left fragment from the first terms of `pairs` and a
+    right one from their second terms, which share a universe."""
+    uni = _universe(kind, *pairs[0], depth)
+    lefts, rights = zip(*pairs)
+    return _Engine(kind, _fragment(lefts, depth, uni), _fragment(rights, depth, uni),
+                   uni[1] if uni else ())
+
+
+def _games(kind: RelationKind, pairs: list, depth: int) -> list:
+    """Each pair's (status, engine): the pairs that can share fragments play
+    one game, and terms with one normal form are related with no game."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    out = [("related", None)] * len(pairs)
+    groups = {}
+    for n, (p, q) in enumerate(pairs):
+        if normalize(p) != normalize(q):
+            groups.setdefault(_universe(kind, p, q, depth), []).append(n)
+    for ns in groups.values():
+        eng = _build_engine(kind, [pairs[n] for n in ns], depth)
+        roots = [(eng.fa.index[normalize(pairs[n][0])], eng.fb.index[normalize(pairs[n][1])])
+                 for n in ns]
+        for n, status in zip(ns, eng.decide(roots)):
+            out[n] = (status, eng)
+    return out
+
+
+def relate(kind: RelationKind, pairs, depth: int) -> tuple:
+    """The status of each (p, q) of `pairs` over fragments bounded by
+    `depth`.  Pairs that share a universe play one game, over a left
+    fragment from all their first terms and a right one from all their
+    second terms, which expand every state a pair's own fragments expand:
+    for the reduction kinds, a status `check_bisim` decides is the same
+    here, and only `unknown` can become definite."""
+    with paused_gc():
+        return tuple(status for status, _ in _games(kind, list(pairs), depth))
 
 
 def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdict:
     """Decide whether p and q are related by the given equivalence kind,
-    over fragments bounded by `depth`."""
+    over fragments bounded by `depth`: the one-pair case of `relate`, plus
+    the relation of a `related` verdict or the witness of a `not_related`."""
     if isinstance(kind, str):
         kind = RelationKind(kind)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     approx = (_INPUT_UNIVERSE_NOTE,) if kind.kind in ("ewb", "wab") else ()
     with paused_gc():
-        if normalize(p) == normalize(q):
+        ((status, eng),) = _games(kind, [(p, q)], depth)
+        if eng is None:
             # the identity relation over the fragment the engine would build is
             # a bisimulation of every kind here, whatever the exploration bound
-            build, _ = _fragments(kind, p, q, depth)
-            rel = tuple((s, s) for s in build(p).states)
-            return Verdict("related", relation=rel, approximations=approx)
-        eng = _build_engine(kind, p, q, depth)
-        closure = eng.settle([(0, 0)])
-        if (0, 0) in eng.removed:
+            frag = _fragment(p, depth, _universe(kind, p, q, depth))
+            return Verdict("related", relation=tuple((s, s) for s in frag.states),
+                           approximations=approx)
+        if status == "not_related":
             return Verdict("not_related", witness=eng.witness(), approximations=approx)
-        # the strict fixpoint lies inside the loose one, so the strict
-        # refinement starts from the loose survivors
-        survivors = [pair for pair in closure if pair not in eng.removed]
-        failed, _ = eng.refine(survivors, True, dict.fromkeys(eng.removed, 0))
-        if (0, 0) in failed:
-            return Verdict(
-                "unknown",
-                reason="bounded exploration hit a frontier or left the built fragments",
-                approximations=approx,
-            )
-        rel = tuple(
-            (eng.fa.states[i], eng.fb.states[j])
-            for i, j in sorted(survivors)
-            if (i, j) not in failed
-        )
+        if status == "unknown":
+            reason = "bounded exploration hit a frontier or left the built fragments"
+            return Verdict("unknown", reason=reason, approximations=approx)
+        rel = tuple((eng.fa.states[i], eng.fb.states[j]) for i, j in eng.relation)
         return Verdict("related", relation=rel, approximations=approx)
 
 
@@ -653,9 +673,8 @@ def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relat
     means the self-audit passed."""
     if isinstance(kind, str):
         kind = RelationKind(kind)
-    eng = _build_engine(kind, p, q, depth)
-    live = set()
-    bad = []
+    eng = _build_engine(kind, [(p, q)], depth)
+    live, bad = set(), []
     for pa, pb in relation:
         i = eng.fa.index.get(pa)
         j = eng.fb.index.get(pb)

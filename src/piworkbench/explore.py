@@ -8,25 +8,26 @@ from __future__ import annotations
 
 
 class Exploration:
-    """Breadth-first exploration from `root`, grown one level at a time.
+    """Breadth-first exploration from `roots`, grown one level at a time.
 
     `successors(state)` returns the (label, target) moves of a state, or
     None when the state cannot be expanded.  States are numbered in BFS
-    order; `dist[i]` is the distance of state i from the root, `out[i]` its
-    moves as (label, target index) and `index` maps a state to its number.
-    States at distance `bound` are never expanded: they and the states
-    that could not be expanded form the `horizon`, in BFS order.
+    order, the roots first, in their order and each once; `dist[i]` is the
+    distance of state i from the nearest root, `out[i]` its moves as
+    (label, target index) and `index` maps a state to its number.  States
+    at distance `bound` are never expanded: they and the states that could
+    not be expanded form the `horizon`, in BFS order.
     """
 
-    def __init__(self, root, successors, bound: int):
-        self.states = [root]
-        self.index = {root: 0}
-        self.dist = [0]
-        self.out = [[]]
+    def __init__(self, roots, successors, bound: int):
+        self.states = list(dict.fromkeys(roots))
+        self.index = {root: i for i, root in enumerate(self.states)}
+        self.dist = [0] * len(self.states)
+        self.out = [[] for _ in self.states]
         self.horizon = []
         self.bound = bound
         self._successors = successors
-        self._level = [0]
+        self._level = list(range(len(self.states)))
 
     def grow(self) -> bool:
         """Expand the deepest level; False once no level is left to expand."""
@@ -59,7 +60,7 @@ class Exploration:
 
 def explore(root, successors, bound: int) -> Exploration:
     """The exploration of every state within `bound` steps of `root`."""
-    ex = Exploration(root, successors, bound)
+    ex = Exploration((root,), successors, bound)
     while ex.grow():
         pass
     return ex

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Optional
 
 from .congruence import normalize
@@ -195,10 +195,10 @@ def step_labels(p: Process, universe: Iterable[Name]) -> tuple:
 class LtsFragment:
     """Bounded, canonical fragment of the transition system.
 
-    states[0] is the root and `out[i]` holds the (label, target index)
-    moves of state i.  States in `frontier` have derivable successors that
-    were not expanded.  `index` maps a state to its number, as the explorer
-    built it.
+    The roots come first, states[0] the first of them, and `out[i]` holds
+    the (label, target index) moves of state i.  States in `frontier` have
+    derivable successors that were not expanded.  `index` maps a state to
+    its number, as the explorer built it.
     """
 
     states: tuple
@@ -280,24 +280,33 @@ def tau_exploration(p: Process, depth: int) -> tuple:
 
 
 def build_fragment(
-    p: Process,
+    p,
     depth: int,
     label_mode: str = "all_labels",
     universe_extra: int = 1,
     universe: Optional[Iterable[Name]] = None,
 ) -> LtsFragment:
-    """Breadth-first bounded exploration over canonical states."""
+    """Breadth-first bounded exploration over canonical states, from the
+    term `p` or, for a tuple of terms, from each of them at distance 0.
+    Visible moves are derived over `universe`, by default the free names
+    of the roots plus `universe_extra` names fresh for them."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if universe_extra < 1:
         raise ValueError("universe_extra must be >= 1")
     if label_mode not in ("all_labels", "tau_only"):
         raise ValueError(f"unknown label_mode {label_mode!r}")
-    root = normalize(p)
-    uni = default_universe(root, universe_extra) if universe is None else frozenset(universe)
+    roots = tuple(map(normalize, p if isinstance(p, tuple) else (p,)))
     tau_only = label_mode == "tau_only"
-    moves = _tau_steps if tau_only else partial(_steps, universe=uni)
-    ex = explore(root, moves, depth)
+    if tau_only:
+        moves = _tau_steps
+    else:
+        # several roots share the default universe of their composition
+        uni = default_universe(reduce(Par, roots), universe_extra) if universe is None else universe
+        moves = partial(_steps, universe=frozenset(uni))
+    ex = Exploration(roots, moves, depth)
+    while ex.grow():
+        pass
     return LtsFragment(
         states=tuple(ex.states),
         out=tuple(map(tuple, ex.out)),
@@ -355,7 +364,7 @@ def diverges(p: Process, depth: int) -> Diverges:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ex = Exploration(normalize(p), _tau_steps, depth)
+    ex = Exploration((normalize(p),), _tau_steps, depth)
     while ex.grow():
         cyc = tau_cycle(ex)
         if cyc is not None:

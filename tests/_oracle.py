@@ -78,8 +78,10 @@ def oracle_reducts(p: Process, repl_unfolds: int = 2) -> frozenset:
     return frozenset(out)
 
 
-def oracle_tau_graph(p: Process) -> dict:
-    """Fully enumerated tau graph (replication-free terms only)."""
+def oracle_tau_graph(p: Process, repl_unfolds: int = 0, cap: int = None) -> dict:
+    """Fully enumerated tau graph: replication-free terms only, unless
+    `repl_unfolds` exposes replicated components (two copies meet after two
+    unfoldings); None when it holds more than `cap` states."""
     root = normalize(p)
     graph = {}
     todo = [root]
@@ -87,7 +89,9 @@ def oracle_tau_graph(p: Process) -> dict:
         t = todo.pop()
         if t in graph:
             continue
-        succs = oracle_reducts(t, repl_unfolds=0)
+        if cap is not None and len(graph) == cap:
+            return None
+        succs = oracle_reducts(t, repl_unfolds=repl_unfolds)
         graph[t] = succs
         todo.extend(succs)
     return graph
@@ -103,11 +107,14 @@ _ORACLE_OBS = {
 }
 
 
-def oracle_bisim(kind: str, p: Process, q: Process) -> bool:
+def oracle_bisim(kind: str, p: Process, q: Process, repl_unfolds: int = 0, cap: int = None):
     """Greatest reduction-based bisimulation over the union of the two
-    fully enumerated tau graphs, by plain iteration from the full square."""
+    fully enumerated tau graphs, by plain iteration from the full square;
+    None when a graph holds more than `cap` states."""
     obs_kinds = _ORACLE_OBS[kind]
-    ga, gb = oracle_tau_graph(p), oracle_tau_graph(q)
+    ga, gb = oracle_tau_graph(p, repl_unfolds, cap), oracle_tau_graph(q, repl_unfolds, cap)
+    if ga is None or gb is None:
+        return None
     graph = dict(ga)
     graph.update(gb)
     states = sorted(graph, key=repr)

@@ -1,6 +1,7 @@
 import pytest
 
-from piworkbench import congruence, memo
+from _oracle import oracle_bisim
+from piworkbench import congruence, correspondence, memo
 from piworkbench.congruence import normalize
 from piworkbench.correspondence import (Criterion, check_completeness,
                                         check_compositionality, check_lemma,
@@ -9,9 +10,10 @@ from piworkbench.correspondence import (Criterion, check_completeness,
                                         check_success_sensitiveness,
                                         inert_steps)
 from piworkbench.encodings import Boudol, HondaTokoro, Op, encode
+from piworkbench.equivalences import SRWRB, check_bisim
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import diverges, reduce_once
-from piworkbench.syntax import Name
+from piworkbench.syntax import Input, Name, Output, Par, Repl, Restrict
 from piworkbench.text import parse_term, render_term
 
 x, y, z = Name("x"), Name("y"), Name("z")
@@ -152,16 +154,77 @@ def test_criterion_g_satisfied():
 
 
 def test_criterion_w_report_invariant_under_renaming():
-    # Criterion w stops at the first source image related to a target, and
-    # tries the images in BFS order, which follows the rendered text of the
-    # reducts; so how many `check_bisim` calls run depends on how the names
-    # are spelled (ROADMAP item 6), but the report must not
+    # the report must not depend on how the names are spelled (ROADMAP
+    # item 6); one game over every (target, source image) pair relates the
+    # target that per-pair checks leave undecided at this depth to two of
+    # its six images, as the naive fixpoint oracle does
     texts = ("z!e.(z?(e).z?(e).0 | z!s.z!e) | z?(e).z!e.(0 | ok)",
              "l!b.(l?(b).l?(b).0 | l!c.l!b) | l?(b).l!b.(0 | ok)")
     a, b = (check_soundness(Criterion("w"), HondaTokoro, parse_term(t), 4) for t in texts)
-    assert a.status == b.status == "unknown"
+    assert a.status == b.status == "pass"
     assert a.details["targets"] == b.details["targets"] == 16
-    assert len(a.details["undecided"]) == len(b.details["undecided"]) == 1
+    assert len(a.details["undecided"]) == len(b.details["undecided"]) == 0
+
+
+def _guardedness(p, guarded=False) -> list:
+    """Whether each replication in p sits under a prefix."""
+    match p:
+        case Repl(body):
+            return [guarded] + _guardedness(body, guarded)
+        case Par(left, right):
+            return _guardedness(left, guarded) + _guardedness(right, guarded)
+        case Restrict(_, body):
+            return _guardedness(body, guarded)
+        case Output(_, _, cont) | Input(_, _, cont):
+            return _guardedness(cont, True)
+    return []
+
+
+def test_shared_game_keeps_every_definite_per_pair_status(monkeypatch):
+    # criteria w, g and cp make one `relate` call per report; a status a
+    # per-pair `check_bisim` decides must come out the same, and one that
+    # only the shared game decides must be the naive fixpoint oracle's
+    # wherever the oracle's tau graph closes.  The replicated corpus keeps
+    # its terms with a reduction and only guarded replication (on a
+    # top-level one, cp and g run for minutes: ROADMAP item 5), at depth 2,
+    # where per-pair checks leave some of its pairs undecided
+    calls = []
+    relate = correspondence.relate
+
+    def recording(kind, pairs, depth):
+        pairs = list(pairs)
+        calls.append((kind, pairs, depth, relate(kind, pairs, depth)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(correspondence, "relate", recording)
+    suite = generate_corpus(GenConfig(seed=3, max_size=16, communication_bias=0.9,
+                                      insert_success_probability=0.2,
+                                      allow_replication=False), 100)
+    replicated = [
+        t for t in generate_corpus(GenConfig(seed=7, max_size=12, communication_bias=0.9), 600)
+        if reduce_once(normalize(t)) and _guardedness(t) and all(_guardedness(t))
+    ]
+    assert len(replicated) >= 10
+    checked = {4: 0, 2: 0}  # decided only by the shared game, per corpus depth
+    for term, depth in [*((t, 4) for t in suite), *((t, 2) for t in replicated)]:
+        for criterion in (Criterion("w"), Criterion("g"), Criterion("cp", SRWRB)):
+            for scheme in (Boudol, HondaTokoro):
+                calls.clear()
+                check_soundness(criterion, scheme, term, depth)
+                assert len(calls) == 1, (criterion.tag, render_term(term))
+                ((kind, pairs, game_depth, statuses),) = calls
+                for (p, q), status in zip(pairs, statuses):
+                    alone = check_bisim(kind, p, q, game_depth).status
+                    if alone != "unknown":
+                        assert status == alone, (render_term(p), render_term(q), alone)
+                    elif status != "unknown":
+                        want = oracle_bisim(kind.kind, p, q, repl_unfolds=2, cap=300)
+                        if want is not None:
+                            checked[depth] += 1
+                            assert status == ("related" if want else "not_related"), (
+                                render_term(p), render_term(q), status)
+        memo.clear()
+    assert checked[4] > 100 and checked[2] > 20, checked
 
 
 def test_criterion_c_exact_completeness():

@@ -275,7 +275,7 @@ def test_related_relations_stay_within_the_root_closure():
                 if not v.is_related or normalize(term) == normalize(image):
                     continue
                 related += 1
-                fresh = equivalences._build_engine(kind, term, image, 6)
+                fresh = equivalences._build_engine(kind, [(term, image)], 6)
                 reach = {(fresh.fa.states[i], fresh.fb.states[j])
                          for i, j in _reachable_pairs(fresh)}
                 assert (fresh.fa.states[0], fresh.fb.states[0]) in v.relation

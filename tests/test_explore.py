@@ -42,7 +42,7 @@ def test_unexpandable_states_join_the_horizon():
 
 
 def test_grow_one_level_at_a_time():
-    ex = Exploration(0, unlabelled(lambda n: [n + 1]), 2)
+    ex = Exploration((0,), unlabelled(lambda n: [n + 1]), 2)
     sizes = []
     while ex.grow():
         sizes.append(len(ex.states))
@@ -50,3 +50,19 @@ def test_grow_one_level_at_a_time():
     assert ex.horizon == [2]
     assert not ex.grow()
     assert explore(0, unlabelled(lambda n: [n + 1]), 0).horizon == [0]
+
+
+def test_several_roots_all_start_at_distance_zero():
+    # a state's distance is the minimum over the roots; a repeated root and a
+    # root another root reaches are numbered once, at distance 0
+    graph = {"a": "bc", "b": "d", "c": "e", "d": "", "e": ""}
+    successors, asked = _counting(unlabelled(lambda s: graph[s]))
+    ex = Exploration(("c", "a", "c", "b"), successors, 1)
+    while ex.grow():
+        pass
+    assert ex.states == ["c", "a", "b", "e", "d"]
+    assert ex.dist == [0, 0, 0, 1, 1]
+    assert ex.out[1] == [(None, 2), (None, 0)]
+    assert asked == ["c", "a", "b"]
+    assert ex.horizon == [3, 4]
+    assert Exploration((), successors, 3).grow() is False

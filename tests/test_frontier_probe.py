@@ -29,7 +29,7 @@ def _old_frontier(ex, moves) -> frozenset:
 
 
 def _old_diverges(p, depth) -> Diverges:
-    ex = Exploration(normalize(p), _tau_steps, depth)
+    ex = Exploration((normalize(p),), _tau_steps, depth)
     while ex.grow():
         cyc = tau_cycle(ex)
         if cyc is not None:
