@@ -94,6 +94,8 @@ CASES += tuple(
 ) + (
     ("correspondence-w-open", {"t.pi": BANG},
      ["correspondence", "--criterion", "w", "--scheme", "boudol", "--depth", "1", "t.pi"]),
+    ("correspondence-g-open", {"t.pi": BANG},
+     ["correspondence", "--criterion", "g", "--scheme", "boudol", "--depth", "1", "t.pi"]),
 )
 CASES += tuple(
     (f"lemma-{lemma}-{name}", {"t.pi": term}, ["lemma", "--id", lemma, "--depth", "4", "t.pi"])
