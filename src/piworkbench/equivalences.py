@@ -638,8 +638,10 @@ def relate(kind: RelationKind, pairs, depth: int) -> tuple:
     `depth`.  Pairs that share a universe play one game, over a left
     fragment from all their first terms and a right one from all their
     second terms, which expand every state a pair's own fragments expand:
-    for the reduction kinds, a status `check_bisim` decides is the same
-    here, and only `unknown` can become definite."""
+    a status `check_bisim` decides is the same here, and only `unknown` can
+    become definite.  For the label kinds this holds unless a term an
+    obligation aligns (`_Engine._resolve`) is missing from a pair's own
+    fragments but present in the shared ones."""
     with paused_gc():
         return tuple(status for status, _ in _games(kind, list(pairs), depth))
 
