@@ -209,7 +209,12 @@ def check_lemma(
             (undecided if cut_off else failures).append(render_term(q))
     details["failures"] = failures
     details["undecided"] = undecided
-    status = "fail" if failures else "unknown" if undecided else "pass"
+    if failures:
+        status = "fail"
+    elif undecided:
+        status = "unknown"
+    else:
+        status = "pass"
     return CheckReport("lemma-l6", instance, status, details)
 
 
@@ -219,20 +224,24 @@ _MATCH_DEPTH = 8
 
 def _completeness_report(check_id, scheme, term, bound, instance, match_related=None):
     reach, _ = tau_exploration(encode(scheme, term), bound)
-    reducts = reduce_once(normalize(term))
-    targets = [_encode(scheme, p2) for p2 in reducts]
-    if match_related is None:
-        matched = lambda pair: congruent(*pair, 1)
-    else:  # one game from every (reached state, target) pair
-        pairs = [(state, target) for target in targets for state in reach.states]
-        statuses = relate(match_related, pairs, _MATCH_DEPTH)
-        matched = {pair for pair, v in zip(pairs, statuses) if v == "related"}.__contains__
-    # states come in BFS order, so the first match is the nearest
-    hits = [next((d for u, d in zip(reach.states, reach.dist) if matched((u, target))), None)
-            for target in targets]
-    per_reduct = [{"reduct": render_term(p2), "path_length": d} for p2, d in zip(reducts, hits)]
+    per_reduct = []
+    ok = True
+    for p2 in reduce_once(normalize(term)):
+        target = _encode(scheme, p2)
+        hit = None
+        for state, d in zip(reach.states, reach.dist):
+            if match_related is None:
+                matched = congruent(state, target, 1)
+            else:
+                matched = check_bisim(match_related, state, target, _MATCH_DEPTH).is_related
+            if matched:
+                hit = d
+                break
+        per_reduct.append({"reduct": render_term(p2), "path_length": hit})
+        if hit is None:
+            ok = False
     details = {"reducts": per_reduct, "bound": bound}
-    return CheckReport(check_id, instance, "fail" if None in hits else "pass", details)
+    return CheckReport(check_id, instance, "pass" if ok else "fail", details)
 
 
 def check_completeness(scheme: EncodingScheme, term: Process) -> CheckReport:
@@ -258,8 +267,14 @@ def check_soundness(
     tag = criterion.tag
     instance = {"criterion": tag, "scheme": scheme.tag, "term": render_term(term), "depth": depth}
     if tag in ("c", "cp"):
-        return _completeness_report(f"criterion-{tag}", scheme, term, PROTOCOL_STEPS[scheme],
-                                    instance, match_related=criterion.equivalence)
+        return _completeness_report(
+            f"criterion-{tag}",
+            scheme,
+            term,
+            PROTOCOL_STEPS[scheme],
+            instance,
+            match_related=criterion.equivalence,
+        )
 
     image = encode(scheme, term)
     factor = PROTOCOL_STEPS[scheme]
@@ -274,28 +289,50 @@ def check_soundness(
 
     source_images = [_encode(scheme, s) for s in tau_exploration(term, depth)[0].states]
     targets, frontier = tau_exploration(image, factor * depth)
-    if tag == "s":
-        outcomes = []
-        for t in targets.states:
+    eq = criterion.equivalence or SRWRB
+    # g asks one game about every (tau-descendant, source image) pair; w
+    # checks each pair alone, so that each match is a `check_bisim` verdict
+    # whose relation can be audited
+    if tag == "g":
+        descendants = [tau_exploration(t, factor * depth)[0].states for t in targets.states]
+        pairs = dict.fromkeys((u, img) for us in descendants for u in us for img in source_images)
+        verdicts = dict(zip(pairs, relate(eq, pairs, depth)))
+    failures = []
+    undecided = []
+    for n, t in enumerate(targets.states):
+        saw_unknown = False
+        matched = False
+        if tag == "s":
             reach_t, reach_frontier = tau_exploration(t, factor * depth)
-            if any(congruent(u, img, 1) for u in reach_t.states for img in source_images):
-                outcomes.append("related")
+            matched = any(congruent(u, img, 1) for u in reach_t.states for img in source_images)
+            saw_unknown = not matched and bool(reach_frontier)
+        else:  # w matches t itself, g any of its tau-descendants
+            for u in (t,) if tag == "w" else descendants[n]:
+                for img in source_images:
+                    status = verdicts[u, img] if tag == "g" else check_bisim(eq, u, img, depth).status
+                    if status == "related":
+                        matched = True
+                        break
+                    saw_unknown = saw_unknown or status == "unknown"
+                if matched:
+                    break
+        if not matched:
+            if saw_unknown:
+                undecided.append(render_term(t))
             else:
-                outcomes.append("unknown" if reach_frontier else "not_related")
+                failures.append(render_term(t))
+    if failures:
+        status = "fail"
+    elif undecided or frontier:
+        status = "unknown"
     else:
-        # w matches t itself, g any of its tau-descendants, to some source
-        # image; one game decides every (start, image) pair of the report
-        starts = [(t,) if tag == "w" else tau_exploration(t, factor * depth)[0].states
-                  for t in targets.states]
-        pairs = dict.fromkeys((u, img) for us in starts for u in us for img in source_images)
-        verdicts = dict(zip(pairs, relate(criterion.equivalence or SRWRB, pairs, depth)))
-        outcomes = [min((verdicts[u, img] for u in us for img in source_images),
-                        key=("related", "unknown", "not_related").index) for us in starts]
-    failures = [render_term(t) for t, o in zip(targets.states, outcomes) if o == "not_related"]
-    undecided = [render_term(t) for t, o in zip(targets.states, outcomes) if o == "unknown"]
-    status = "fail" if failures else "unknown" if undecided or frontier else "pass"
-    details = {"failures": failures, "undecided": undecided, "targets": len(targets.states)}
-    return CheckReport(f"criterion-{tag}", instance, status, details)
+        status = "pass"
+    return CheckReport(
+        f"criterion-{tag}",
+        instance,
+        status,
+        {"failures": failures, "undecided": undecided, "targets": len(targets.states)},
+    )
 
 
 def check_success_sensitiveness(scheme: EncodingScheme, term: Process, depth: int) -> CheckReport:

@@ -10,16 +10,17 @@ flip it to NotRelated.
 Each game explores on the fly from its root pairs: obligations are built
 only for the pairs reachable from them, a loose refinement decides
 `not_related`, and a strict one, started from the loose survivors, decides
-`related`.  `relate` plays one game for many root pairs over shared
-fragments; `check_bisim` is its one-pair case.  The relation of a `related`
-verdict holds the strict survivors reachable from the root pair.  A
-witness is searched breadth-first from the root and rendered only once
-chosen.
+`related`.  `relate` plays the root pairs of a reduction kind in one game
+over shared fragments; `check_bisim` is its one-pair case.  The relation
+of a `related` verdict holds the strict survivors reachable from the root
+pair.  A witness is searched breadth-first from the root and rendered only
+once chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .congruence import normalize
@@ -199,10 +200,21 @@ class Blame(NamedTuple):
 
 
 def _divergence_status(frag: LtsFragment, sat: Saturation) -> list:
-    cyclic = {i for i, moves in enumerate(frag.out) for a, t in moves
-              if isinstance(a, Tau) and i in sat.tau_closure[t][0]}
-    return ["yes" if cl & cyclic else "no" if closed else "unknown"
-            for cl, closed in sat.tau_closure]
+    cyclic = set()
+    for i in range(len(frag.states)):
+        for a, t in frag.out[i]:
+            if isinstance(a, Tau) and i in sat.tau_closure[t][0]:
+                cyclic.add(i)
+    out = []
+    for i in range(len(frag.states)):
+        cl, closed = sat.tau_closure[i]
+        if cl & cyclic:
+            out.append("yes")
+        elif closed:
+            out.append("no")
+        else:
+            out.append("unknown")
+    return out
 
 
 def _named_pairs(obs, out: set) -> set:
@@ -238,12 +250,21 @@ class _Engine:
         self.sat = {"left": saturate(fa), "right": saturate(fb)}
         if kind.reduction_based:
             obs_kinds = _OBSERVED[kind.kind]
-            self.obs, self.weak_obs = {}, {}  # per side: strong, and weak with closedness
+            self.obs = {
+                s: [
+                    frozenset(b for b in strong_barbs(t) if b.kind in obs_kinds)
+                    for t in frag.states
+                ]
+                for s, (frag, _) in self.sides.items()
+            }
+            self.weak_obs = {}
             for s, (frag, _) in self.sides.items():
-                obs = self.obs[s] = [frozenset(b for b in strong_barbs(t) if b.kind in obs_kinds)
-                                     for t in frag.states]
-                self.weak_obs[s] = [(frozenset().union(*(obs[j] for j in cl)), closed)
-                                    for cl, closed in self.sat[s].tau_closure]
+                per = []
+                for i in range(len(frag.states)):
+                    cl, closed = self.sat[s].tau_closure[i]
+                    found = frozenset().union(*(self.obs[s][j] for j in cl))
+                    per.append((found, closed))
+                self.weak_obs[s] = per
         if kind.divergence_preserving:
             self.div = {
                 s: _divergence_status(frag, self.sat[s]) for s, (frag, _) in self.sides.items()
@@ -589,41 +610,39 @@ class _Engine:
         )
 
 
-def _universe(kind: RelationKind, p: Process, q: Process, depth: int) -> Optional[tuple]:
-    """The universe the fragments of a check of p against q share and the
-    names input clauses are instantiated with; None for the reduction kinds,
-    whose fragments are tau-only.  Pairs with one value can share fragments."""
+def _fragments(kind: RelationKind, p: Process, q: Process, depth: int) -> tuple:
+    """How a check of p against q builds its fragments: a function from a
+    term, or a tuple of roots, to its fragment, over a universe both sides
+    share, and the names input clauses are instantiated with."""
     if kind.reduction_based:
-        return None
+        return partial(build_fragment, depth=depth, label_mode="tau_only"), ()
     shared_free = _free(p) | _free(q)
     extras = universe_fresh_names(names(p) | names(q), max(depth, 1))
-    return shared_free | frozenset(extras), tuple(sorted(shared_free | {extras[0]}))
-
-
-def _fragment(roots, depth: int, universe: Optional[tuple]) -> LtsFragment:
-    mode = "tau_only" if universe is None else "all_labels"
-    return build_fragment(roots, depth, label_mode=mode, universe=universe and universe[0])
+    uni = shared_free | frozenset(extras)
+    build = partial(build_fragment, depth=depth, label_mode="all_labels", universe=uni)
+    return build, tuple(sorted(shared_free | {extras[0]}))
 
 
 def _build_engine(kind: RelationKind, pairs: list, depth: int) -> _Engine:
     """The game over a left fragment from the first terms of `pairs` and a
-    right one from their second terms, which share a universe."""
-    uni = _universe(kind, *pairs[0], depth)
+    right one from their second terms; several pairs only for the reduction
+    kinds, whose tau-only fragments need no universe."""
+    build, wset = _fragments(kind, *pairs[0], depth)
     lefts, rights = zip(*pairs)
-    return _Engine(kind, _fragment(lefts, depth, uni), _fragment(rights, depth, uni),
-                   uni[1] if uni else ())
+    return _Engine(kind, build(lefts), build(rights), wset)
 
 
 def _games(kind: RelationKind, pairs: list, depth: int) -> list:
-    """Each pair's (status, engine): the pairs that can share fragments play
-    one game, and terms with one normal form are related with no game."""
+    """Each pair's (status, engine): for the reduction kinds every pair
+    plays in one game, for the label kinds each pair alone; terms with one
+    normal form are related with no game."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     out = [("related", None)] * len(pairs)
     groups = {}
     for n, (p, q) in enumerate(pairs):
         if normalize(p) != normalize(q):
-            groups.setdefault(_universe(kind, p, q, depth), []).append(n)
+            groups.setdefault(None if kind.reduction_based else n, []).append(n)
     for ns in groups.values():
         eng = _build_engine(kind, [pairs[n] for n in ns], depth)
         roots = [(eng.fa.index[normalize(pairs[n][0])], eng.fb.index[normalize(pairs[n][1])])
@@ -635,13 +654,14 @@ def _games(kind: RelationKind, pairs: list, depth: int) -> list:
 
 def relate(kind: RelationKind, pairs, depth: int) -> tuple:
     """The status of each (p, q) of `pairs` over fragments bounded by
-    `depth`.  Pairs that share a universe play one game, over a left
-    fragment from all their first terms and a right one from all their
-    second terms, which expand every state a pair's own fragments expand:
-    a status `check_bisim` decides is the same here, and only `unknown` can
-    become definite.  For the label kinds this holds unless a term an
-    obligation aligns (`_Engine._resolve`) is missing from a pair's own
-    fragments but present in the shared ones."""
+    `depth`.  For the reduction kinds every pair plays in one game, over a
+    left fragment from all first terms and a right one from all second
+    terms.  These expand every state a pair's own fragments expand, so a
+    status `check_bisim` decides is the same here, and only `unknown` can
+    become definite.  A label kind's pair plays alone, as `check_bisim`
+    plays it: its universe depends on its terms, and `_Engine._resolve`
+    takes an aligned term equal to the other side as a match only when the
+    fragment lacks it, so a shared fragment could undo a `related`."""
     with paused_gc():
         return tuple(status for status, _ in _games(kind, list(pairs), depth))
 
@@ -658,9 +678,9 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
         if eng is None:
             # the identity relation over the fragment the engine would build is
             # a bisimulation of every kind here, whatever the exploration bound
-            frag = _fragment(p, depth, _universe(kind, p, q, depth))
-            return Verdict("related", relation=tuple((s, s) for s in frag.states),
-                           approximations=approx)
+            build, _ = _fragments(kind, p, q, depth)
+            rel = tuple((s, s) for s in build(p).states)
+            return Verdict("related", relation=rel, approximations=approx)
         if status == "not_related":
             return Verdict("not_related", witness=eng.witness(), approximations=approx)
         if status == "unknown":
@@ -676,7 +696,8 @@ def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relat
     if isinstance(kind, str):
         kind = RelationKind(kind)
     eng = _build_engine(kind, [(p, q)], depth)
-    live, bad = set(), []
+    live = set()
+    bad = []
     for pa, pb in relation:
         i = eng.fa.index.get(pa)
         j = eng.fb.index.get(pb)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from typing import Iterable, Optional
 
 from .congruence import normalize
@@ -289,7 +289,7 @@ def build_fragment(
     """Breadth-first bounded exploration over canonical states, from the
     term `p` or, for a tuple of terms, from each of them at distance 0.
     Visible moves are derived over `universe`, by default the free names
-    of the roots plus `universe_extra` names fresh for them."""
+    of a single root plus `universe_extra` names fresh for them."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if universe_extra < 1:
@@ -301,9 +301,10 @@ def build_fragment(
     if tau_only:
         moves = _tau_steps
     else:
-        # several roots share the default universe of their composition
-        uni = default_universe(reduce(Par, roots), universe_extra) if universe is None else universe
-        moves = partial(_steps, universe=frozenset(uni))
+        if universe is None and len(roots) != 1:
+            raise ValueError("all_labels over several roots needs a universe")
+        uni = default_universe(roots[0], universe_extra) if universe is None else frozenset(universe)
+        moves = partial(_steps, universe=uni)
     ex = Exploration(roots, moves, depth)
     while ex.grow():
         pass

@@ -9,9 +9,10 @@ from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.equivalences import (AWBB, EWB, KINDS, SRWRB, WAB, WBB, WCB,
                                       WOT, RelationKind, audit_relation,
-                                      check_bisim, kind_from_string, saturate)
+                                      check_bisim, kind_from_string, relate,
+                                      saturate)
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import FreeOutput, build_fragment
+from piworkbench.semantics import FreeOutput, build_fragment, tau_exploration
 from piworkbench.syntax import Name
 from piworkbench.text import parse_term, render_term
 
@@ -369,3 +370,35 @@ def test_definite_verdicts_stay_put_as_the_depth_grows():
                         kind.kind, scheme.tag, render_term(term), depth, status, definite)
                 elif status != "unknown":
                     definite = status
+
+
+def test_label_kinds_relate_each_pair_alone(monkeypatch):
+    # a label kind's universe depends on the pair's terms, and a shared
+    # fragment could turn a per-pair `related` into `unknown` (see
+    # `relate`), so each pair plays alone and gets `check_bisim`'s status;
+    # the reduction kinds play every pair in one game
+    sizes = []
+    build = equivalences._build_engine
+
+    def recording(kind, pairs, depth):
+        sizes.append(len(pairs))
+        return build(kind, pairs, depth)
+
+    monkeypatch.setattr(equivalences, "_build_engine", recording)
+    cfg = GenConfig(seed=3, max_size=12, communication_bias=0.9, allow_replication=False)
+    decided = 0
+    for term in generate_corpus(cfg, 20):
+        for scheme in (Boudol, HondaTokoro):
+            pairs = [(u, v) for u in tau_exploration(term, 1)[0].states
+                     for v in tau_exploration(encode(scheme, term), 2)[0].states]
+            for kind in (EWB, WOT, WAB, WBB):
+                sizes.clear()
+                statuses = relate(kind, pairs, 3)
+                if kind.reduction_based:
+                    assert len(sizes) <= 1
+                    continue
+                assert set(sizes) <= {1}
+                alone = [check_bisim(kind, p, q, 3).status for p, q in pairs]
+                assert list(statuses) == alone, (kind.kind, render_term(term))
+                decided += sum(s != "unknown" for s in alone)
+    assert decided > 100, decided

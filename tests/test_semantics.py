@@ -120,6 +120,21 @@ def test_fragment_frontier_marks_horizon():
     assert frag.frontier
 
 
+def test_fragment_from_several_roots():
+    # a one-root tuple builds the one-root fragment; several roots start at
+    # distance 0, and an all-labels fragment over them needs a universe
+    p, q = parse_term("x!a | x?(y).y!b"), encode(Boudol, parse_term("x!z"))
+    for mode in ("all_labels", "tau_only"):
+        assert build_fragment((p,), 2, mode) == build_fragment(p, 2, mode)
+    both = build_fragment((p, q), 2, "tau_only")
+    assert both.states[:2] == (normalize(p), normalize(q))
+    assert set(build_fragment(q, 2, "tau_only").states) <= set(both.states)
+    with pytest.raises(ValueError):
+        build_fragment((p, q), 2, "all_labels")
+    uni = default_universe(p) | default_universe(q)
+    assert build_fragment((p, q), 2, "all_labels", universe=uni).states[:2] == both.states[:2]
+
+
 def test_diverges_nil():
     assert diverges(parse_term("0"), 5).status == "no"
 
