@@ -36,9 +36,19 @@ def normalize(p: Process) -> Process:
     return _normalize(p)
 
 
-@memo
-def _normalize(p: Process) -> Process:
-    return _canon(p, (), 0, _level_names(p, ()))
+def normalize_transient(p: Process) -> Process:
+    """`normalize` for a term built to be normalized once, such as a
+    transition target: the same normal form, with no table entry keyed by
+    its parallel level.  The level is peeled and canonicalized directly,
+    and the names its binders must skip are read off its components, so
+    only the components get entries, never the spine."""
+    parts: list = []
+    _peel(p, (), {}, parts, 0)
+    skip = frozenset().union(*(_part_level_names(*part) for part in parts))
+    return _canon_parts(parts, 0, skip)
+
+
+_normalize = memo(normalize_transient)
 
 
 def _level_names(p: Process, env: tuple) -> frozenset:
@@ -48,6 +58,13 @@ def _level_names(p: Process, env: tuple) -> frozenset:
     m = dict(env)
     images = (m.get(n, n) for n in _free(p))
     return frozenset(w for w in images if w.reserved and _LEVEL_RE.match(w.ident))
+
+
+def _part_level_names(c: Process, local: tuple, outer: tuple) -> frozenset:
+    """`_level_names` of a component peeled off a level, under its outer
+    renaming.  Its local names count as markers, which are never level
+    names, even when a local name is spelled like one."""
+    return _level_names(c, outer + tuple((y, _SELF) for y, _ in local))
 
 
 def _restrict(env: tuple, p: Process) -> tuple:
@@ -100,10 +117,17 @@ def _peel(p: Process, env: tuple, ren: dict, parts: list, n: int) -> int:
 def _canon_level(p: Process, env: tuple, depth: int, skip: frozenset) -> Process:
     parts: list = []
     _peel(p, env, {}, parts, 0)
+    return _canon_parts(parts, depth, skip)
+
+
+def _canon_parts(parts: list, depth: int, skip: frozenset) -> Process:
     if not parts:
         return NIL
     live = sorted({k for _, local, _ in parts for _, k in local})
     inner_depth = depth + len(live)
+    # Every candidate renders as the same restriction prefix followed by
+    # its components, so candidates compare by the components' texts
+    # alone, and only the winner is built: no table keeps a loser.
     best = None
     best_text = None
     for order in _binder_orders(live, parts):
@@ -113,15 +137,17 @@ def _canon_level(p: Process, env: tuple, depth: int, skip: frozenset) -> Process
              for c, local, outer in parts),
             key=render_term,
         )
-        body = cs[0]
-        for c in cs[1:]:
-            body = Par(body, c)
-        for i in reversed(range(len(live))):
-            body = Restrict(_level_name(depth + i, skip), body)
-        text = render_term(body)
+        text = " | ".join(map(render_term, cs))
+        if len(cs) > 1:
+            text = f"({text})"
         if best_text is None or text < best_text:
-            best, best_text = body, text
-    return best
+            best, best_text = cs, text
+    body = best[0]
+    for c in best[1:]:
+        body = Par(body, c)
+    for i in reversed(range(len(live))):
+        body = Restrict(_level_name(depth + i, skip), body)
+    return body
 
 
 # markers use '#', which the concrete syntax cannot produce, so signature
@@ -151,12 +177,10 @@ def _binder_orders(live: list, parts: list):
 
     # per binder, the components that use it: each with its local renaming,
     # its outer renaming and the level names the outer renaming brings in
-    # (local names count as markers, which are never level names, even
-    # when a local name is spelled like one)
     users: dict = {k: [] for k in live}
     for c, local, outer in parts:
         if local:
-            use = (c, local, outer, _level_names(c, outer + tuple((y, _SELF) for y, _ in local)))
+            use = (c, local, outer, _part_level_names(c, local, outer))
             for _, k in local:
                 users[k].append(use)
     group_of = {k: 0 for k in live}
@@ -224,7 +248,7 @@ def unfold_once(p: Process) -> frozenset:
 def _variants(nf: Process, budget: int) -> frozenset:
     """The normal forms within `budget` replication unfoldings of the
     normal form `nf`: the one table of unfoldings."""
-    step = unlabelled(lambda t: map(_normalize, unfold_once(t)))
+    step = unlabelled(lambda t: map(normalize_transient, unfold_once(t)))
     return frozenset(explore(nf, step, budget).states)
 
 

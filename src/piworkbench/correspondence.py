@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import congruent, normalize, unfold_once
+from .congruence import congruent, normalize, normalize_transient, unfold_once
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
@@ -104,7 +104,7 @@ def inert_steps(p: Process) -> frozenset:
                     if v in leftover:
                         continue
                     rest = [b for b in binders if b != v]
-                    out.add(normalize(_rebuild(rest, others + [received])))
+                    out.add(normalize_transient(_rebuild(rest, others + [received])))
     return frozenset(out)
 
 

@@ -384,18 +384,18 @@ class _Engine:
         return ("taint",)
 
     def _input_obligation(self, side, x2, a, y, fx, fy, ymoves, ycomplete):
+        matches = [(b, y2) for b, y2 in ymoves if isinstance(b, InputLab) and b.chan == a.chan]
         subs = []
         for w in self.wset:
             entries = []
-            for b, y2 in ymoves:
-                if not isinstance(b, InputLab) or b.chan != a.chan:
-                    continue
+            if matches:
                 u1 = normalize(substitute(fx.states[x2], a.datum, w))
+                i2 = fx.index.get(u1)
+            for b, y2 in matches:
                 u2 = normalize(substitute(fy.states[y2], b.datum, w))
                 if u1 == u2:
                     entries.append(("ok",))
                     continue
-                i2 = fx.index.get(u1)
                 j2 = fy.index.get(u2)
                 if i2 is not None and j2 is not None:
                     entries.append(("pair", self._key(side, i2, j2)))

@@ -1,7 +1,12 @@
 """How long a derived fact lives: every memo table in the package is made
 by `memo`, and `clear` empties them all.  `run_suite` clears after each
 corpus term; a library caller that loops over terms calls `clear` itself.
-The module imports nothing from the package, so every layer can use it."""
+The module imports nothing from the package, so every layer can use it.
+
+A table is keyed only by terms that are asked about again.  A term built
+to be used once, such as a transition target, gets no entry: it goes
+through `normalize_transient` and `substitute_transient`, which key only
+the components under its fresh spine, so no table keeps it alive."""
 
 from __future__ import annotations
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Optional
 
-from .congruence import normalize
+from .congruence import normalize, normalize_transient
 from .explore import Exploration, explore
 from .memo import memo
 from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
-                     Restrict, Success, _free, fresh_names, names, substitute)
+                     Restrict, Success, _free, _union, _without, fresh_names, names,
+                     substitute, substitute_transient)
 from .text import render_term
 
 
@@ -119,7 +120,7 @@ def _raw_transitions(p: Process, w: Name) -> list:
                 if y not in label_names(a):
                     out.append((a, Restrict(y, t)))
                 elif isinstance(a, FreeOutput) and a.datum == y and a.chan != y:
-                    out.append((BoundOutput(a.chan, w), substitute(t, y, w)))
+                    out.append((BoundOutput(a.chan, w), substitute_transient(t, y, w)))
             return out
         case Repl(body):
             base = _raw_transitions(body, w)
@@ -139,7 +140,7 @@ def _sync(a: Label, t: Process, b: Label, u: Process, w: Name, swap: bool = Fals
         return
     pair = (lambda s, r: Par(r, s)) if swap else Par
     if isinstance(a, FreeOutput) and a.chan == b.chan:
-        yield (TAU, pair(t, substitute(u, w, a.datum)))
+        yield (TAU, pair(t, substitute_transient(u, w, a.datum)))
     if isinstance(a, BoundOutput) and a.chan == b.chan:
         yield (TAU, Restrict(w, pair(t, u)))
 
@@ -172,7 +173,7 @@ def _steps(p: Process, universe: frozenset) -> Optional[tuple]:
     for a, t in _raw_transitions(p, rep or _temp_bound_name(p)):
         if rep is None and not isinstance(a, Tau):
             return None
-        out.add((a, normalize(t)))
+        out.add((a, normalize_transient(t)))
     return tuple(sorted(out, key=lambda at: (_label_key(at[0]), render_term(at[1]))))
 
 
@@ -232,14 +233,14 @@ def caps(p: Process) -> tuple:
             louts, lins, ltau, lsucc = caps(l)
             routs, rins, rtau, rsucc = caps(r)
             tau = ltau or rtau or not (louts.isdisjoint(rins) and routs.isdisjoint(lins))
-            return louts | routs, lins | rins, tau, lsucc or rsucc
+            return _union(louts, routs), _union(lins, rins), tau, lsucc or rsucc
         case Repl(body):
             # a body whose outputs meet its inputs has a tau of its own, so
             # two copies add none
             return caps(body)
         case Restrict(y, body):
             outs, ins, tau, succ = caps(body)
-            return outs - {y}, ins - {y}, tau, succ
+            return _without(outs, y), _without(ins, y), tau, succ
         case Nil() | Hole():
             return frozenset(), frozenset(), False, False
     raise TypeError(f"not a process: {p!r}")
@@ -265,7 +266,8 @@ def reduce_once(p: Process) -> tuple:
     """Canonical tau-successors, sorted: by the Harmony Lemma, the one-step
     reducts up to structural congruence.  The only cache of tau steps."""
     raw = _raw_transitions(p, _temp_bound_name(p))
-    return tuple(sorted({normalize(t) for a, t in raw if isinstance(a, Tau)}, key=render_term))
+    return tuple(sorted({normalize_transient(t) for a, t in raw if isinstance(a, Tau)},
+                        key=render_term))
 
 
 def _tau_steps(p: Process) -> tuple:

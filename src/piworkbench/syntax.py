@@ -203,19 +203,37 @@ class NameSets:
     all: frozenset
 
 
+def _union(s: frozenset, t: frozenset) -> frozenset:
+    """`s | t`, but `s` or `t` itself when it already holds the other, so
+    that equal name sets along a term are one object."""
+    if len(s) < len(t):
+        s, t = t, s
+    return s if t <= s else s | t
+
+
+def _with(s: frozenset, *ns: Name) -> frozenset:
+    """`s` plus the names `ns`, or `s` itself when it holds them."""
+    return s if all(n in s for n in ns) else s.union(ns)
+
+
+def _without(s: frozenset, n: Name) -> frozenset:
+    """`s` less the name `n`, or `s` itself when it lacks it."""
+    return s - {n} if n in s else s
+
+
 @memo
 def _free(p: Process) -> frozenset:
     match p:
         case Nil() | Success() | Hole():
             return frozenset()
         case Output(c, d, k):
-            return frozenset((c, d)) | _free(k)
+            return _with(_free(k), c, d)
         case Input(c, b, k):
-            return frozenset((c,)) | (_free(k) - {b})
+            return _with(_without(_free(k), b), c)
         case Par(l, r):
-            return _free(l) | _free(r)
+            return _union(_free(l), _free(r))
         case Restrict(b, body):
-            return _free(body) - {b}
+            return _without(_free(body), b)
         case Repl(body):
             return _free(body)
     raise TypeError(f"not a process: {p!r}")
@@ -228,12 +246,10 @@ def _bound(p: Process) -> frozenset:
             return frozenset()
         case Output(_, _, k):
             return _bound(k)
-        case Input(_, b, k):
-            return frozenset((b,)) | _bound(k)
+        case Input(_, b, k) | Restrict(b, k):
+            return _with(_bound(k), b)
         case Par(l, r):
-            return _bound(l) | _bound(r)
-        case Restrict(b, body):
-            return frozenset((b,)) | _bound(body)
+            return _union(_bound(l), _bound(r))
         case Repl(body):
             return _bound(body)
     raise TypeError(f"not a process: {p!r}")
@@ -292,15 +308,28 @@ def substitute(p: Process, old: Name, new: Name) -> Process:
     return substitute_all(p, {old: new})
 
 
+def substitute_transient(p: Process, old: Name, new: Name) -> Process:
+    """`substitute` for a term built to be used once, such as a transition
+    target: its parallel spine is rebuilt with no table entry keyed by it,
+    and only the components under the spine go through the table."""
+    match p:
+        case Par(l, r):
+            return Par(substitute_transient(l, old, new), substitute_transient(r, old, new))
+        case Restrict(b, body) if b != old and b != new:
+            return Restrict(b, substitute_transient(body, old, new))
+    return substitute(p, old, new)
+
+
 def substitute_all(p: Process, mapping: Mapping[Name, Name]) -> Process:
     """Simultaneous capture-avoiding renaming of free occurrences.
 
     Binders whose name would capture an incoming name are renamed to a
     fresh primed variant first.  Only the entries for free names of `p`
-    key the memo, so each distinct substitution is cached once.
+    key the memo, so each distinct substitution is cached once, and a
+    substitution that changes nothing is not cached.
     """
     items = tuple(sorted((y, w) for y, w in mapping.items() if y != w and y in _free(p)))
-    return _subst(p, items)
+    return _subst(p, items) if items else p
 
 
 @memo

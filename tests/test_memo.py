@@ -1,6 +1,8 @@
 """The memo registry: every derived-fact table comes from `memo`, and
-`memo.clear()` empties them all, so a suite keeps no dead term alive.  A
-job leaves no cyclic garbage, so `memo.paused_gc` loses nothing."""
+`memo.clear()` empties them all, so a suite keeps no dead term alive.  No
+table keeps a term that is built and normalized once, such as a
+transition target.  A job leaves no cyclic garbage, so `memo.paused_gc`
+loses nothing."""
 
 import contextlib
 import gc
@@ -15,7 +17,10 @@ from piworkbench.encodings import Boudol, encode
 from piworkbench.equivalences import WBB, check_bisim
 from piworkbench.harness import (CHECKS, CheckSpec, GenConfig, Limits,
                                  generate_corpus, run_suite)
-from piworkbench.semantics import build_fragment
+from piworkbench.semantics import (BoundOutput, _fresh_representative, _raw_transitions,
+                                   _temp_bound_name, build_fragment, default_universe,
+                                   reduce_once)
+from piworkbench.syntax import Name, Par, Repl, Restrict
 from piworkbench.text import parse_term
 
 
@@ -85,6 +90,68 @@ def test_check_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+    memo.clear()
+
+
+REPLICATED = GenConfig(seed=7, max_size=16, communication_bias=0.9, allow_replication=True)
+SOURCES = 10
+FRAGMENT_DEPTH = 3
+
+
+def _subterms(p, seen: set) -> None:
+    stack = [p]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(getattr(t, f) for f in type(t).__match_args__
+                         if not isinstance(getattr(t, f), (Name, int)))
+
+
+def _probes(frag, term):
+    """(state, bound name) for every derivation the run made: the state
+    `reduce_once` was asked about, and each fragment state with the name
+    its labelled moves were derived with."""
+    yield term, _temp_bound_name(term)
+    uni = default_universe(frag.states[0])
+    for s in frag.states:
+        yield s, _fresh_representative(s, uni) or _temp_bound_name(s)
+
+
+def test_fresh_targets_are_not_retained():
+    sources = [t for t in generate_corpus(REPLICATED, 100) if "Repl(" in repr(t)][:SOURCES]
+    assert len(sources) == SOURCES
+    terms = sources + [encode(Boudol, t) for t in sources]
+    memo.clear()
+    gc.collect()
+    frags, reducts = [], []
+    for p in terms:
+        reducts.append(reduce_once(p))
+        frags.append(build_fragment(p, FRAGMENT_DEPTH))
+    # only the roots were normalized through the table
+    assert congruence._normalize.cache_info().currsize == len(set(terms))
+
+    gc.collect()
+    alive = [r() for r in list(syntax._TABLE.values())]
+    alive_ids = {id(t) for t in alive if t is not None}
+    kept: set = set()
+    for t in [*terms, *(s for f in frags for s in f.states), *(t for r in reducts for t in r)]:
+        _subterms(t, kept)
+    # a target built by PAR, RES, COM, CLOSE or REPL is a fresh spine; a
+    # prefix or OPEN target may be a subterm or a substitution result of
+    # one, which `_subst` keeps
+    fresh = retained = 0
+    for frag, term in zip(frags, terms):
+        for s, w in _probes(frag, term):
+            if not isinstance(s, (Par, Restrict, Repl)):
+                continue
+            for a, t in _raw_transitions(s, w):
+                if isinstance(a, BoundOutput) or id(t) in kept:
+                    continue
+                fresh += 1
+                retained += id(t) in alive_ids
+    assert retained == 0, (fresh, retained)
+    assert fresh > 100, fresh
     memo.clear()
 
 
