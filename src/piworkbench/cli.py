@@ -260,7 +260,7 @@ def main(argv: Optional[list] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

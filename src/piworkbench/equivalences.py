@@ -234,12 +234,11 @@ class _Engine:
     Both fragments are built and saturated up front.  Clause obligations
     are built only for the pairs a check asks about and for the pairs
     reachable from them through the pairs obligations name, their closure;
-    no obligation names a pair outside its own pair's closure.  `refine`
-    sweeps the pairs of each newly explored closure in sorted order, and a
-    pair removed by an earlier refinement leaves at its own round, so each
-    removal keeps the round and blames that sweeps over every pair would
-    give it: verdicts and witnesses do not depend on how much of the game
-    was explored."""
+    no obligation names a pair outside its own pair's closure.  A pair's
+    status reads only the pairs its obligations name, so sweeping every
+    explored pair, a set closed under naming, gives each of them the round
+    and blames that sweeps over every pair would give: verdicts and
+    witnesses do not depend on how much of the game was explored."""
 
     def __init__(self, kind: RelationKind, fa: LtsFragment, fb: LtsFragment, wset: tuple):
         self.kind = kind
@@ -269,19 +268,14 @@ class _Engine:
             self.div = {
                 s: _divergence_status(frag, self.sat[s]) for s, (frag, _) in self.sides.items()
             }
-        self.table = {}  # pair -> clause obligations, built on demand
-        self.deps = {}  # explored pair -> the pairs its obligations name
+        self.table = {}  # explored pair -> its clause obligations
         self.removed = {}  # pair -> sweep round of its removal by the loose refinement
         self.blames = {}  # pair -> the blames recorded when it was removed
         self.relation = []  # the strict survivors of `decide`, sorted
 
     def obligations(self, pair: tuple) -> tuple:
-        obs = self.table.get(pair)
-        if obs is None:
-            i, j = pair
-            obs = self._pair_obligations("left", i, j) + self._pair_obligations("right", j, i)
-            self.table[pair] = obs
-        return obs
+        i, j = pair
+        return self._pair_obligations("left", i, j) + self._pair_obligations("right", j, i)
 
     def _key(self, side: str, x2: int, y2: int) -> tuple:
         return (x2, y2) if side == "left" else (y2, x2)
@@ -463,48 +457,31 @@ class _Engine:
             return _TAINT
         raise AssertionError(ob)
 
-    def explore(self, roots) -> list:
+    def explore(self, roots) -> bool:
         """Build obligations for every pair reachable from `roots` that was
-        not explored before; returns those pairs."""
-        new = []
+        not explored before; returns whether there was any."""
+        size = len(self.table)
         stack = list(roots)
         while stack:
             pair = stack.pop()
-            if pair in self.deps:
-                continue
-            deps = self.deps[pair] = tuple(_named_pairs(self.obligations(pair), set()))
-            new.append(pair)
-            stack.extend(q for q in deps if q not in self.deps)
-        return new
+            if pair not in self.table:
+                obs = self.table[pair] = self.obligations(pair)
+                stack.extend(_named_pairs(obs, set()))
+        return len(self.table) > size
 
-    def refine(self, pairs, strict: bool, dead: dict) -> tuple:
+    def refine(self, pairs, strict: bool) -> tuple:
         """Remove the pairs of `pairs` that fail a clause (or, when strict,
         are tainted) by sweeps over them in sorted order, repeated until a
-        sweep removes nothing.
-
-        Pairs outside `pairs` are already decided: `dead` maps those that
-        are removed to their sweep round (0: before the first sweep), and
-        the rest stay live.  A named pair removed in round r leaves the
-        relation at its place in sweep r, which counts as a change, and the
-        sweeps go on at least until that round, so each removal here falls
-        in the same round, with the same blames, as in sweeps over every
-        pair.  Returns (rounds, blames) of the pairs removed here."""
-        named = {q for pair in pairs for q in self.deps[pair]}
-        events = {q: dead[q] for q in named if dead.get(q, 0) > 0}
-        live = set(pairs) | {q for q in named if dead.get(q, 1) > 0}
-        order = sorted(set(pairs) | events.keys())
-        last = max(events.values(), default=0)
+        sweep removes nothing; a pair outside `pairs` counts as removed.
+        Returns the sweep round and the blames of each removed pair."""
+        order = sorted(pairs)
+        live = set(order)
         rounds, blames = {}, {}
         rnd, changed = 0, True
-        while changed or rnd < last:
+        while changed:
             rnd, changed = rnd + 1, False
             for pair in order:
                 if pair not in live:
-                    continue
-                if pair in events:
-                    if events[pair] == rnd:
-                        live.discard(pair)
-                        changed = True
                     continue
                 fails, tainted = self._status(pair, live)
                 if fails or (strict and tainted):
@@ -516,7 +493,7 @@ class _Engine:
     def _status(self, pair, live) -> tuple:
         fails = []
         tainted = False
-        for ob in self.obligations(pair):
+        for ob in self.table[pair]:
             s = self._eval(ob, live)
             if s == _FAIL:
                 fails.append(ob[-1])
@@ -524,38 +501,34 @@ class _Engine:
                 tainted = True
         return fails, tainted
 
-    def settle(self, roots) -> list:
-        """Explore from `roots` and run the loose refinement over the new
-        pairs; returns them."""
-        new = self.explore(roots)
-        rounds, blames = self.refine(new, False, self.removed)
-        self.removed.update(rounds)
-        self.blames.update(blames)
-        return new
+    def settle(self, roots) -> None:
+        """Explore from `roots`; when that reached new pairs, run the loose
+        refinement again over every explored pair."""
+        if self.explore(roots):
+            self.removed, self.blames = self.refine(self.table, False)
 
     def decide(self, roots) -> list:
-        """The status of each root pair.  The loose refinement of their
-        closure decides `not_related`; when a root survived it, a strict one
-        from its survivors (the strict fixpoint lies inside the loose one)
-        decides `related` and keeps its survivors, sorted, in `relation`."""
-        closure = self.settle(roots)
-        survivors = [pair for pair in closure if pair not in self.removed]
+        """The status of each root pair, on a fresh engine.  The loose
+        refinement of their closure decides `not_related`; when a root
+        survived it, a strict one over its survivors (the strict fixpoint
+        lies inside the loose one) decides `related` and keeps its
+        survivors, sorted, in `relation`."""
+        self.settle(roots)
         failed = {}
         if any(root not in self.removed for root in roots):
-            failed, _ = self.refine(survivors, True, dict.fromkeys(self.removed, 0))
+            survivors = [pair for pair in self.table if pair not in self.removed]
+            failed, _ = self.refine(survivors, True)
             self.relation = sorted(pair for pair in survivors if pair not in failed)
         return ["not_related" if r in self.removed else "unknown" if r in failed else "related"
                 for r in roots]
 
     def audit(self, live) -> tuple:
-        """Replay every clause against a fixed relation; returns definite
-        violations (frontier-induced unknowns are not violations)."""
-        bad = []
-        for pair in sorted(live):
-            for ob in self.obligations(pair):
-                if self._eval(ob, live) == _FAIL:
-                    bad.append((pair, _FAIL, ob[-1].category))
-        return tuple(bad)
+        """Explore from the pairs of a fixed relation and replay each one's
+        clauses against it; returns definite violations (frontier-induced
+        unknowns are not violations)."""
+        self.explore(live)
+        return tuple((pair, _FAIL, blame.category)
+                     for pair in sorted(live) for blame in self._status(pair, live)[0])
 
     def witness(self) -> Witness:
         """Counterexample once the loose refinement removed the root pair
@@ -670,8 +643,6 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
     """Decide whether p and q are related by the given equivalence kind,
     over fragments bounded by `depth`: the one-pair case of `relate`, plus
     the relation of a `related` verdict or the witness of a `not_related`."""
-    if isinstance(kind, str):
-        kind = RelationKind(kind)
     approx = (_INPUT_UNIVERSE_NOTE,) if kind.kind in ("ewb", "wab") else ()
     with paused_gc():
         ((status, eng),) = _games(kind, [(p, q)], depth)
@@ -693,8 +664,6 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
 def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relation) -> tuple:
     """Replay a Related verdict's relation clause-by-clause; empty result
     means the self-audit passed."""
-    if isinstance(kind, str):
-        kind = RelationKind(kind)
     eng = _build_engine(kind, [(p, q)], depth)
     live = set()
     bad = []

@@ -243,7 +243,10 @@ def _divergence(term, scheme, depth, params) -> CheckReport:
 def _criterion(term, scheme, depth, params) -> CheckReport:
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    crit = Criterion(params["criterion"], params.get("equivalence"))
+    eq = params.get("equivalence")
+    if isinstance(eq, str):
+        eq = RelationKind(eq)
+    crit = Criterion(params["criterion"], eq)
     if crit.tag == "c" and crit.equivalence is None:
         return check_completeness(scheme, term)
     return check_soundness(crit, scheme, term, depth)

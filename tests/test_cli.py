@@ -81,6 +81,13 @@ def test_cli_parse_and_encode(term_file, capsys):
 def test_cli_parse_error_exit_code(term_file, capsys):
     f = term_file("bad.pi", "x!!z")
     assert main(["parse", f]) == 3
+    # nesting deeper than the interpreter's recursion limit is a usage error
+    for args, text in ((["parse"], "a!b." * 3000 + "0"),
+                       (["parse", "--normalize"], " | ".join(["a!b"] * 3000))):
+        capsys.readouterr()
+        assert main([*args, term_file("deep.pi", text)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
 
 
 def test_cli_usage_error():

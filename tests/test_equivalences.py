@@ -286,9 +286,9 @@ def test_related_relations_stay_within_the_root_closure():
 
 
 def _sweep_every_pair(eng, strict):
-    """Reference refinement: sweep every pair in sorted order, as often as
-    a sweep removes something; returns the removal round and the blames
-    of each removed pair."""
+    """Reference refinement: sweep every explored pair in sorted order, as
+    often as a sweep removes something; returns the removal round and the
+    blames of each removed pair."""
     live = set(eng.table)
     rounds, blames = {}, {}
     rnd, changed = 0, True
@@ -304,11 +304,10 @@ def _sweep_every_pair(eng, strict):
     return rounds, blames
 
 
-def _random_game(rng, n):
-    """An engine over n x n pairs with random clause obligations."""
-    eng = object.__new__(equivalences._Engine)
+def _random_rules(rng, n):
+    """Random clause obligations for each of n x n pairs."""
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    eng.table = {}
+    rules = {}
     for pair in pairs:
         obs = [("static", "taint", None)] if rng.random() < 0.15 else []
         for k in range(rng.randint(0, 3)):
@@ -317,26 +316,38 @@ def _random_game(rng, n):
                 entries.append(("pair2", rng.choice(pairs), rng.choice(pairs)))
             blame = equivalences.Blame("left", "tau-move", k)
             obs.append(("exists", tuple(entries), rng.random() < 0.9, blame))
-        eng.table[pair] = tuple(obs)
-    eng.deps, eng.removed, eng.blames = {}, {}, {}
-    return eng, pairs
+        rules[pair] = tuple(obs)
+    return rules
+
+
+def _random_game(rules):
+    """An engine that builds its obligations from `rules`."""
+    eng = object.__new__(equivalences._Engine)
+    eng._pair_obligations = lambda side, x, y: rules[x, y] if side == "left" else ()
+    eng.table, eng.removed, eng.blames = {}, {}, {}
+    return eng
 
 
 def test_refine_in_batches_matches_sweeps_over_every_pair():
     rng = random.Random(45)
     for _ in range(200):
-        eng, pairs = _random_game(rng, rng.randint(2, 6))
-        want_rounds, want_blames = _sweep_every_pair(eng, strict=False)
-        # settle a few roots at a time, as the verdict and witness passes do
-        order = pairs[:]
+        rules = _random_rules(rng, rng.randint(2, 6))
+        everything = _random_game(rules)
+        everything.explore(rules)
+        want_rounds, want_blames = _sweep_every_pair(everything, strict=False)
+        # settle a few roots at a time, as the verdict and witness passes do;
+        # each explored pair has its round and blames from sweeps over all
+        eng = _random_game(rules)
+        order = list(rules)
         rng.shuffle(order)
         while order:
             eng.settle([order.pop() for _ in range(min(len(order), rng.randint(1, 4)))])
-        assert eng.removed == want_rounds
-        assert eng.blames == want_blames
-        survivors = [pair for pair in pairs if pair not in eng.removed]
-        failed, _ = eng.refine(survivors, True, dict.fromkeys(eng.removed, 0))
-        strict_rounds, _ = _sweep_every_pair(eng, strict=True)
+            assert eng.removed == {p: r for p, r in want_rounds.items() if p in eng.table}
+            assert eng.blames == {p: b for p, b in want_blames.items() if p in eng.table}
+        assert eng.table.keys() == rules.keys()
+        survivors = [pair for pair in eng.table if pair not in eng.removed]
+        failed, _ = eng.refine(survivors, True)
+        strict_rounds, _ = _sweep_every_pair(everything, strict=True)
         assert set(failed) | set(eng.removed) == set(strict_rounds)
 
 

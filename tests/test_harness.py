@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from piworkbench import harness
+from piworkbench.equivalences import RelationKind
 from piworkbench.harness import (CheckSpec, GenConfig, Limits, generate_corpus,
                                  run_suite)
 from piworkbench.syntax import Input, Output, Par, Repl, is_async, names, size
@@ -163,6 +164,17 @@ def test_spec_without_scheme_checks_boudol(kind, params):
     if kind == "barb-preservation":
         # T_HT turns the output x!z into an input on x
         assert unschemed.reports[0].status == "pass"
+
+
+@pytest.mark.parametrize("criterion", ["w", "g", "cp"])
+def test_criterion_equivalence_named_by_string(criterion):
+    corpus = (parse_term("x!z | x?(y).0"),)
+    named, given = (
+        run_suite(corpus, [CheckSpec("k", "criterion",
+                                     {"criterion": criterion, "equivalence": eq, "depth": 2})])
+        for eq in ("wbb", RelationKind("wbb")))
+    assert named.to_dict() == given.to_dict()
+    assert not any("error" in r.details for r in named.reports)
 
 
 def test_malformed_check_spec():
