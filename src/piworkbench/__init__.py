@@ -7,8 +7,8 @@ from .encodings import (Boudol, Context, EncodingScheme, HondaTokoro, Op,
                         encode, encoding_context, fill, fresh_pair,
                         scheme_from_string)
 from .equivalences import (AWBB, EWB, SRWRB, WAB, WBB, WCB, WOT, RelationKind,
-                           Verdict, audit_relation, check_bisim,
-                           kind_from_string, relate, saturate)
+                           Verdict, audit_relation, check_bisim, relate,
+                           saturate)
 from .correspondence import (CheckReport, Criterion, check_completeness,
                              check_compositionality, check_lemma,
                              check_name_invariance, check_soundness,
@@ -19,11 +19,10 @@ from .harness import (CheckSpec, GenConfig, Limits, SuiteReport,
 from .observables import Barb, strong_barbs, weak_barbs
 from .semantics import (BoundOutput, Diverges, FreeOutput, InputLab, Label,
                         LtsFragment, Tau, build_fragment, diverges,
-                        reduce_once, render_label, step_labels)
-from .syntax import (NIL, OK, Hole, Input, Name, NameSets, Nil, Output, Par,
-                     Process, Repl, Restrict, Success, alpha_eq,
-                     alpha_normalize, free_names, is_async, names, size,
-                     substitute, substitute_all)
+                        reduce_once, render_label)
+from .syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par, Process,
+                     Repl, Restrict, Success, alpha_eq, alpha_normalize,
+                     is_async, names, size, substitute, substitute_all)
 from .text import ParseError, parse_term, render_term
 
 __all__ = [name for name in dir() if not name.startswith("_")]

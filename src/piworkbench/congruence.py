@@ -11,6 +11,7 @@ with the shared explorer (`explore`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -121,8 +122,6 @@ def _canon_level(p: Process, env: tuple, depth: int, skip: frozenset) -> Process
 
 
 def _canon_parts(parts: list, depth: int, skip: frozenset) -> Process:
-    if not parts:
-        return NIL
     live = sorted({k for _, local, _ in parts for _, k in local})
     inner_depth = depth + len(live)
     # Every candidate renders as the same restriction prefix followed by
@@ -142,12 +141,35 @@ def _canon_parts(parts: list, depth: int, skip: frozenset) -> Process:
             text = f"({text})"
         if best_text is None or text < best_text:
             best, best_text = cs, text
-    body = best[0]
-    for c in best[1:]:
-        body = Par(body, c)
-    for i in reversed(range(len(live))):
-        body = Restrict(_level_name(depth + i, skip), body)
+    return assemble([_level_name(depth + i, skip) for i in range(len(live))], best)
+
+
+def assemble(binders, comps) -> Process:
+    """The restriction block `binders`, outermost first, over the
+    left-nested parallel composition of `comps`: how a normal form's level
+    is built, and the inverse of `level`."""
+    body = functools.reduce(Par, comps) if comps else NIL
+    for b in reversed(binders):
+        body = Restrict(b, body)
     return body
+
+
+def level(nf: Process) -> tuple:
+    """The top level of the normal form `nf`: its restriction binders,
+    outermost first, and its components, in order.  The inverse of
+    `assemble`."""
+    binders = []
+    while isinstance(nf, Restrict):
+        binders.append(nf.binder)
+        nf = nf.body
+    comps = []
+    while isinstance(nf, Par):
+        comps.append(nf.right)
+        nf = nf.left
+    if nf != NIL:
+        comps.append(nf)
+    comps.reverse()
+    return binders, comps
 
 
 # markers use '#', which the concrete syntax cannot produce, so signature

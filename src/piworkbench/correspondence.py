@@ -6,14 +6,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import congruent, normalize, normalize_transient, unfold_once
+from .congruence import (assemble, congruent, level, normalize,
+                         normalize_transient, unfold_once)
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
 from .explore import explore, unlabelled
 from .semantics import reduce_once, tau_exploration
-from .syntax import (NIL, Input, Nil, Output, Par, Process, Restrict,
-                     _free, alpha_eq, is_async, substitute, substitute_all)
+from .syntax import (NIL, Input, Output, Process, _free, alpha_eq, is_async,
+                     substitute, substitute_all)
 from .text import render_term
 
 PROTOCOL_STEPS = {Boudol: 3, HondaTokoro: 2}
@@ -46,36 +47,6 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _block_and_components(p: Process):
-    binders = []
-    while isinstance(p, Restrict):
-        binders.append(p.binder)
-        p = p.body
-    comps = []
-    spine = [p]
-    while spine:
-        t = spine.pop()
-        if isinstance(t, Par):
-            spine.append(t.left)
-            spine.append(t.right)
-        elif not isinstance(t, Nil):
-            comps.append(t)
-    comps.reverse()
-    return binders, comps
-
-
-def _rebuild(binders, comps) -> Process:
-    if not comps:
-        body = NIL
-    else:
-        body = comps[0]
-        for c in comps[1:]:
-            body = Par(body, c)
-    for b in reversed(binders):
-        body = Restrict(b, body)
-    return body
-
-
 def inert_steps(p: Process) -> frozenset:
     """All one-step inert reducts of an asynchronous term: a private
     send/receive pair on a restricted channel is consumed, provided the
@@ -88,7 +59,7 @@ def inert_steps(p: Process) -> frozenset:
     starts.update(normalize(u) for u in unfold_once(normalize(p)))
     out = set()
     for start in starts:
-        binders, comps = _block_and_components(start)
+        binders, comps = level(start)
         for v in binders:
             for i, ci in enumerate(comps):
                 if not (isinstance(ci, Output) and ci.chan == v and ci.cont == NIL):
@@ -104,7 +75,7 @@ def inert_steps(p: Process) -> frozenset:
                     if v in leftover:
                         continue
                     rest = [b for b in binders if b != v]
-                    out.add(normalize_transient(_rebuild(rest, others + [received])))
+                    out.add(normalize_transient(assemble(rest, others + [received])))
     return frozenset(out)
 
 

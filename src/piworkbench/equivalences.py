@@ -28,7 +28,8 @@ from .explore import Exploration
 from .memo import paused_gc
 from .observables import CHAN, IN, OUT, SUCC, strong_barbs
 from .semantics import (BoundOutput, FreeOutput, InputLab, LtsFragment, Tau,
-                        build_fragment, render_label, universe_fresh_names)
+                        build_fragment, render_label, tau_divergent,
+                        universe_fresh_names)
 from .syntax import NIL, Output, Par, Process, _free, names, substitute
 from .text import render_term
 
@@ -75,10 +76,6 @@ WBB = RelationKind("wbb")
 AWBB = RelationKind("awbb")
 WCB = RelationKind("wcb")
 SRWRB = RelationKind("srwrb")
-
-
-def kind_from_string(text: str, divergence_preserving=False, branching=False) -> RelationKind:
-    return RelationKind(text.lower(), divergence_preserving, branching)
 
 
 @dataclass(frozen=True)
@@ -200,15 +197,11 @@ class Blame(NamedTuple):
 
 
 def _divergence_status(frag: LtsFragment, sat: Saturation) -> list:
-    cyclic = set()
-    for i in range(len(frag.states)):
-        for a, t in frag.out[i]:
-            if isinstance(a, Tau) and i in sat.tau_closure[t][0]:
-                cyclic.add(i)
+    divergent = tau_divergent(frag)
     out = []
     for i in range(len(frag.states)):
-        cl, closed = sat.tau_closure[i]
-        if cl & cyclic:
+        _, closed = sat.tau_closure[i]
+        if i in divergent:
             out.append("yes")
         elif closed:
             out.append("no")

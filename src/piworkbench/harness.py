@@ -48,6 +48,9 @@ class GenConfig:
         for p in (self.insert_success_probability, self.communication_bias):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+        unknown = set(self.weights) - set(_DEFAULT_WEIGHTS)
+        if unknown:
+            raise ValueError(f"unknown weight tags {sorted(unknown)}")
 
 
 _POOL_IDENTS = "abcdexyzpqrs"

@@ -181,17 +181,6 @@ def default_universe(p: Process, extra: int = 1) -> frozenset:
     return frozenset(_free(p)) | frozenset(universe_fresh_names(names(p), extra))
 
 
-def step_labels(p: Process, universe: Iterable[Name]) -> tuple:
-    """All transitions of `p`, with one canonical fresh representative for
-    bound names, targets in canonical form."""
-    universe = frozenset(universe)
-    if not universe >= _free(p):
-        raise ValueError("universe must contain the free names of the term")
-    if not universe - names(p):
-        raise ValueError("universe must contain a name fresh for the term")
-    return _steps(p, universe)
-
-
 @dataclass(frozen=True)
 class LtsFragment:
     """Bounded, canonical fragment of the transition system.
@@ -327,51 +316,47 @@ class Diverges:
     cycle: tuple = ()
     reason: str = ""
 
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
 
-
-def tau_cycle(graph, start: int = 0) -> Optional[tuple]:
-    """A tau-cycle reachable from `start`, if any, in a fragment or an
-    exploration (anything with `states` and per-state `out` moves)."""
-    color = {start: 1}
-    stack = [(start, iter([t for a, t in graph.out[start] if isinstance(a, Tau)]))]
-    path = [start]
-    while stack:
-        node, it = stack[-1]
-        nxt = next(it, None)
-        if nxt is None:
-            color[node] = 2
-            stack.pop()
-            path.pop()
-            continue
-        c = color.get(nxt)
-        if c == 1:
-            k = path.index(nxt)
-            return tuple(graph.states[i] for i in path[k:])
-        if c is None:
-            color[nxt] = 1
-            path.append(nxt)
-            stack.append((nxt, iter([t for a, t in graph.out[nxt] if isinstance(a, Tau)])))
-    return None
+def tau_divergent(graph) -> frozenset:
+    """The states of `graph` (anything with per-state `out` moves, such as a
+    fragment or an exploration) from which a tau-cycle can be reached.
+    States are peeled off, again and again, once every tau move of theirs
+    leads to a peeled state; the states left over diverge."""
+    left = [0] * len(graph.out)
+    preds = [[] for _ in graph.out]
+    for i, moves in enumerate(graph.out):
+        for a, j in moves:
+            if isinstance(a, Tau):
+                left[i] += 1
+                preds[j].append(i)
+    peeled = [i for i, n in enumerate(left) if not n]
+    for j in peeled:
+        for i in preds[j]:
+            left[i] -= 1
+            if not left[i]:
+                peeled.append(i)
+    return frozenset(i for i, n in enumerate(left) if n)
 
 
 def diverges(p: Process, depth: int) -> Diverges:
     """Detect a reachable tau-cycle among canonical states.
 
-    The tau graph is explored once, level by level, and searched for a
-    cycle after each level, so an early cycle is found without expanding
-    the whole horizon.  Exact when the bounded graph closed (empty
-    frontier); Unknown when the horizon was hit cycle-free.
+    The tau graph is explored once, level by level, and peeled after each
+    level, so an early cycle is found without expanding the whole horizon.
+    The cycle is the first one met by always taking the first tau move
+    that stays among the diverging states.  Exact when the bounded graph
+    closed (empty frontier); Unknown when the horizon was hit cycle-free.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ex = Exploration((normalize(p),), _tau_steps, depth)
     while ex.grow():
-        cyc = tau_cycle(ex)
-        if cyc is not None:
-            return Diverges("yes", cycle=cyc)
+        divergent = tau_divergent(ex)
+        if 0 in divergent:
+            path = [0]
+            while (nxt := next(t for _, t in ex.out[path[-1]] if t in divergent)) not in path:
+                path.append(nxt)
+            return Diverges("yes", cycle=tuple(ex.states[i] for i in path[path.index(nxt):]))
     if _frontier(ex, tau_only=True):
         return Diverges("unknown", reason="frontier hit before the tau graph closed")
     return Diverges("no")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import threading
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator, Mapping, Union
 from weakref import ref
@@ -196,13 +195,6 @@ NIL = Nil()
 OK = Success()
 
 
-@dataclass(frozen=True)
-class NameSets:
-    free: frozenset
-    bound: frozenset
-    all: frozenset
-
-
 def _union(s: frozenset, t: frozenset) -> frozenset:
     """`s | t`, but `s` or `t` itself when it already holds the other, so
     that equal name sets along a term are one object."""
@@ -253,12 +245,6 @@ def _bound(p: Process) -> frozenset:
         case Repl(body):
             return _bound(body)
     raise TypeError(f"not a process: {p!r}")
-
-
-def free_names(p: Process) -> NameSets:
-    """fn/bn/n of a term.  Input and restriction bind their binder."""
-    f, b = _free(p), _bound(p)
-    return NameSets(free=f, bound=b, all=f | b)
 
 
 def names(p: Process) -> frozenset:

@@ -23,8 +23,6 @@ from .memo import memo
 from .syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par, Process,
                      Repl, Restrict, Success)
 
-SourceText = str
-
 _KEYWORDS = {"ok", "nu"}
 _TOKEN_RE = re.compile(r"\s*(?:(%?[A-Za-z_][A-Za-z0-9_']*)|([0!?.|()]))")
 

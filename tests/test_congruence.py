@@ -11,7 +11,7 @@ from _oracle import enum_terms, oracle_classes, scramble
 from piworkbench.congruence import (_canon, _level_names, _normalize, congruent, normalize,
                                     unfold_once)
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.syntax import NIL, Name, free_names, size, substitute_all
+from piworkbench.syntax import NIL, Name, _free, size, substitute_all
 from piworkbench.text import parse_term, render_term
 
 
@@ -90,7 +90,7 @@ def test_fn_preserved_by_normalize():
     rng = random.Random(7)
     pool = [Name(c) for c in "ab"]
     for t in enum_terms(4, pool):
-        assert free_names(normalize(t)).free == free_names(t).free
+        assert _free(normalize(t)) == _free(t)
 
 
 def test_normalize_idempotent_on_protocol_states():
@@ -208,11 +208,11 @@ def test_canon_under_a_renaming_renders_as_the_renamed_normal_form():
     cfg = GenConfig(seed=41, max_size=12, allow_replication=True, communication_bias=0.5,
                     weights={"output": 2.0, "input": 4.0, "par": 2.0, "restrict": 4.0,
                              "repl": 0.5})
-    terms = [t for t in generate_corpus(cfg, 150) if free_names(t).free]
+    terms = [t for t in generate_corpus(cfg, 150) if _free(t)]
     terms += [normalize(t) for t in terms]
     checked = captures = 0
     for p in terms:
-        free = sorted(free_names(p).free)
+        free = sorted(_free(p))
         for _ in range(4):
             env = tuple((n, rng.choice(targets)) for n in free)
             skip = _level_names(p, env)

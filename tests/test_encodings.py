@@ -5,8 +5,8 @@ from piworkbench.encodings import (Boudol, Context, HondaTokoro, Op,
                                    fresh_pair, scheme_from_string)
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.syntax import (NIL, OK, Hole, Input, Name, Output, Par,
-                                Repl, Restrict, alpha_eq, free_names,
-                                is_async, substitute_all)
+                                Repl, Restrict, _free, alpha_eq, is_async,
+                                substitute_all)
 from piworkbench.text import parse_term, render_term
 
 x, y, z = Name("x"), Name("y"), Name("z")
@@ -64,7 +64,7 @@ def test_encoding_preserves_free_names():
     cfg = GenConfig(seed=14, max_size=10, communication_bias=0.4)
     for term in generate_corpus(cfg, 60):
         for scheme in (Boudol, HondaTokoro):
-            assert free_names(encode(scheme, term)).free == free_names(term).free
+            assert _free(encode(scheme, term)) == _free(term)
 
 
 def test_fresh_pair_first_two():

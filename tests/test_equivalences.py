@@ -9,8 +9,7 @@ from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.equivalences import (AWBB, EWB, KINDS, SRWRB, WAB, WBB, WCB,
                                       WOT, RelationKind, audit_relation,
-                                      check_bisim, kind_from_string, relate,
-                                      saturate)
+                                      check_bisim, relate, saturate)
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import FreeOutput, build_fragment, tau_exploration
 from piworkbench.syntax import Name
@@ -25,7 +24,7 @@ def test_kind_validation():
         RelationKind("nope")
     with pytest.raises(ValueError):
         RelationKind("ewb", branching=True)
-    assert kind_from_string("wbb").reduction_based
+    assert RelationKind("wbb").reduction_based
 
 
 def test_saturate_trivial_fragment():

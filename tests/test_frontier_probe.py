@@ -1,6 +1,8 @@
 """The frontier probe `has_moves` against the probe it replaced: running the
-full successor function and testing its result against ().  The
-capability table behind it and behind the strong barbs against the raw
+full successor function and testing its result against ().  `diverges`
+against a depth-first cycle search after every level, and the states
+`tau_divergent` keeps against a scan of tau closures.  The capability
+table behind the probe and behind the strong barbs against the raw
 transitions and `reduce_once`."""
 
 from functools import partial
@@ -9,16 +11,17 @@ import pytest
 
 from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
+from piworkbench.equivalences import saturate
 from piworkbench.explore import Exploration, explore
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.observables import IN, OUT, strong_barbs
 from piworkbench.semantics import (BoundOutput, Diverges, FreeOutput,
-                                   InputLab, _raw_transitions, _steps,
+                                   InputLab, Tau, _raw_transitions, _steps,
                                    _tau_steps, _temp_bound_name,
                                    build_fragment, caps, default_universe,
                                    diverges, has_moves, reduce_once,
-                                   tau_cycle, tau_exploration)
-from piworkbench.syntax import _free
+                                   tau_divergent, tau_exploration)
+from piworkbench.syntax import Repl, _free
 from piworkbench.text import parse_term
 
 
@@ -26,6 +29,31 @@ def _old_frontier(ex, moves) -> frozenset:
     return frozenset(
         i for i in ex.horizon if ex.dist[i] < ex.bound or moves(ex.states[i]) != ()
     )
+
+
+def tau_cycle(graph, start: int = 0):
+    """A tau-cycle reachable from `start`, if any, in a fragment or an
+    exploration, by depth-first search."""
+    color = {start: 1}
+    stack = [(start, iter([t for a, t in graph.out[start] if isinstance(a, Tau)]))]
+    path = [start]
+    while stack:
+        node, it = stack[-1]
+        nxt = next(it, None)
+        if nxt is None:
+            color[node] = 2
+            stack.pop()
+            path.pop()
+            continue
+        c = color.get(nxt)
+        if c == 1:
+            k = path.index(nxt)
+            return tuple(graph.states[i] for i in path[k:])
+        if c is None:
+            color[nxt] = 1
+            path.append(nxt)
+            stack.append((nxt, iter([t for a, t in graph.out[nxt] if isinstance(a, Tau)])))
+    return None
 
 
 def _old_diverges(p, depth) -> Diverges:
@@ -53,6 +81,23 @@ def _corpus() -> list:
 
 
 CORPUS = _corpus()
+
+# replicated terms, several of which diverge, by scheme: the first corpus
+# terms under `!` and two replicated exchanges, then their two images
+_SOURCES = [Repl(t) for t in CORPUS[:20]] + [parse_term(s) for s in (
+    "!(x!a | x?(y).0)",
+    "!(x!a | x?(y).0) | (nu c)(c!c | !c?(d).c!d)",  # several cycles to choose from
+)]
+REPLICATED = {
+    "source": _SOURCES,
+    "boudol": [encode(Boudol, t) for t in _SOURCES],
+    "honda-tokoro": [encode(HondaTokoro, t) for t in _SOURCES],
+}
+
+
+def _is_tau_cycle(cycle) -> bool:
+    """Whether each state of `cycle` reduces to the next, the last to the first."""
+    return bool(cycle) and all(b in reduce_once(a) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def _universes(root):
@@ -97,10 +142,37 @@ def test_fragment_frontier_equals_old_probe(label_mode, depth):
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
 def test_tau_exploration_and_diverges_equal_old_probe(depth):
-    for p in CORPUS:
-        ex, frontier = tau_exploration(p, depth)
-        assert frontier == _old_frontier(ex, _tau_steps), p
-        assert diverges(p, depth) == _old_diverges(p, depth), p
+    yes = set()
+    for scheme, terms in (("corpus", CORPUS), *REPLICATED.items()):
+        for p in terms:
+            ex, frontier = tau_exploration(p, depth)
+            assert frontier == _old_frontier(ex, _tau_steps), p
+            d = diverges(p, depth)
+            assert d == _old_diverges(p, depth), p
+            if d.status == "yes":
+                yes.add(scheme)
+                assert _is_tau_cycle(d.cycle), p
+    if depth == 4:
+        assert yes >= set(REPLICATED), yes
+
+
+def _old_divergent(frag) -> frozenset:
+    """The states whose tau closure holds a state on a tau cycle."""
+    closure = [cl for cl, _ in saturate(frag).tau_closure]
+    cyclic = {i for i, moves in enumerate(frag.out) for a, t in moves
+              if isinstance(a, Tau) and i in closure[t]}
+    return frozenset(i for i, cl in enumerate(closure) if cl & cyclic)
+
+
+@pytest.mark.parametrize("label_mode", ["all_labels", "tau_only"])
+def test_tau_divergent_equals_closure_scan(label_mode):
+    diverging = 0
+    for p in CORPUS + [t for terms in REPLICATED.values() for t in terms]:
+        frag = build_fragment(p, 3, label_mode=label_mode)
+        got = tau_divergent(frag)
+        assert got == _old_divergent(frag), p
+        diverging += bool(got)
+    assert diverging
 
 
 def test_caps_equal_raw_transitions():

@@ -91,6 +91,9 @@ def test_config_validation():
         GenConfig(max_size=0)
     with pytest.raises(ValueError):
         GenConfig(communication_bias=1.5)
+    # an unknown tag was once drawn as "par", below the budget "par" needs
+    with pytest.raises(ValueError, match="restriction"):
+        GenConfig(seed=1, weights={"output": 1, "restriction": 50})
 
 
 def test_run_suite_empty_corpus_rejected_by_generate():

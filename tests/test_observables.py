@@ -6,7 +6,7 @@ from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.observables import (CHAN, IN, OUT, Barb, strong_barbs, succ,
                                      weak_barbs)
 from piworkbench.semantics import (BoundOutput, FreeOutput, InputLab,
-                                   default_universe, step_labels)
+                                   _steps, default_universe)
 from piworkbench.syntax import Name
 from piworkbench.text import parse_term, render_term
 
@@ -98,7 +98,7 @@ def test_barbs_agree_with_lts_characterization():
     # In(x) iff an input transition on x, Out(x) iff a free or bound
     # output transition on x
     for term in _corpus(35, allow_replication=False):
-        steps = step_labels(term, default_universe(term))
+        steps = _steps(term, default_universe(term))
         ins = {lab.chan for lab, _ in steps if isinstance(lab, InputLab)}
         outs = {
             lab.chan

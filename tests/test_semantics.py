@@ -9,10 +9,9 @@ from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.observables import weak_barbs
 from piworkbench.semantics import (BoundOutput, FreeOutput, InputLab, Tau,
-                                   build_fragment, default_universe, diverges,
-                                   label_bn, label_fn, reduce_once,
-                                   step_labels)
-from piworkbench.syntax import Name, free_names
+                                   _steps, build_fragment, default_universe,
+                                   diverges, label_bn, label_fn, reduce_once)
+from piworkbench.syntax import Name, _free
 from piworkbench.text import parse_term, render_term
 
 x, z = Name("x"), Name("z")
@@ -29,13 +28,13 @@ def test_label_name_sets():
 
 def test_output_act():
     p = parse_term("x!z")
-    steps = step_labels(p, default_universe(p))
+    steps = _steps(p, default_universe(p))
     assert steps == ((FreeOutput(x, z), normalize(parse_term("0"))),)
 
 
 def test_bound_output_from_boudol_image():
     p = parse_term("(nu u)(x!u | u?(v).(v!z | 0))")
-    steps = step_labels(p, default_universe(p))
+    steps = _steps(p, default_universe(p))
     assert len(steps) == 1
     lab, target = steps[0]
     assert isinstance(lab, BoundOutput) and lab.chan == x
@@ -50,15 +49,7 @@ def test_bound_output_from_boudol_image():
 
 def test_no_transitions_for_nil():
     p = parse_term("0")
-    assert step_labels(p, default_universe(p)) == ()
-
-
-def test_step_labels_universe_validation():
-    p = parse_term("x!z")
-    with pytest.raises(ValueError):
-        step_labels(p, {x})  # missing free name z
-    with pytest.raises(ValueError):
-        step_labels(p, {x, z})  # no fresh name
+    assert _steps(p, default_universe(p)) == ()
 
 
 def test_reduce_once_communication():
@@ -142,7 +133,9 @@ def test_diverges_nil():
 def test_diverges_replicated_communication():
     d = diverges(parse_term("!(x!a | x?(y).0)"), 4)
     assert d.status == "yes"
-    assert d.cycle
+    # a tau cycle: each state reduces to the next, the last to the first
+    c = d.cycle
+    assert c and all(b in reduce_once(a) for a, b in zip(c, c[1:] + c[:1]))
 
 
 def test_diverges_finite_chain():
@@ -161,11 +154,11 @@ def test_harmony_transitions_invariant_under_congruence():
     cfg = GenConfig(seed=6, max_size=8, communication_bias=0.5)
     for term in generate_corpus(cfg, 25):
         q = scramble(term, rng, steps=4)
-        uni = frozenset(free_names(term).free | free_names(q).free) | frozenset(
+        uni = (_free(term) | _free(q)) | frozenset(
             [Name("hfresh"), Name("hfresh2")]
         )
-        sp = step_labels(term, uni)
-        sq = step_labels(q, uni)
+        sp = _steps(term, uni)
+        sq = _steps(q, uni)
 
         def keyed(steps):
             out = {}
@@ -197,8 +190,8 @@ def test_fresh_representative_stable_across_universe_extension():
     p = parse_term("x?(y).y!a")
     uni1 = default_universe(p, 1)
     uni2 = default_universe(p, 3)
-    (l1, t1), = step_labels(p, uni1)
-    (l2, t2), = step_labels(p, uni2)
+    (l1, t1), = _steps(p, uni1)
+    (l2, t2), = _steps(p, uni2)
     assert l1 == l2
     assert t1 == t2
 
@@ -209,9 +202,9 @@ def test_step_labels_invariant_under_fresh_choice():
     from piworkbench.syntax import substitute
 
     p = parse_term("x?(y).y!a | (nu u)(x!u | u?(v).0)")
-    base = step_labels(p, default_universe(p))
+    base = _steps(p, default_universe(p))
     odd = Name("odd_fresh")
-    other = step_labels(p, free_names(p).free | {odd})
+    other = _steps(p, _free(p) | {odd})
     assert len(base) == len(other)
     for (la, ta), (lb, tb) in zip(base, other):
         assert type(la) is type(lb)

@@ -3,9 +3,9 @@ from hypothesis import given, settings
 
 from piworkbench import syntax
 from piworkbench.syntax import (NIL, OK, Input, Name, Output, Par, Repl,
-                                Restrict, alpha_eq, alpha_normalize,
-                                free_names, fresh_variant, is_async, names,
-                                size, substitute, substitute_all)
+                                Restrict, _bound, _free, alpha_eq,
+                                alpha_normalize, fresh_variant, is_async,
+                                names, size, substitute, substitute_all)
 from piworkbench.text import parse_term, render_term
 
 x, y, z, a, b, w = (Name(n) for n in "xyzabw")
@@ -17,23 +17,21 @@ def test_name_namespaces_disjoint():
 
 
 def test_free_names_nil():
-    ns = free_names(NIL)
-    assert ns.free == ns.bound == ns.all == frozenset()
+    assert _free(NIL) == _bound(NIL) == names(NIL) == frozenset()
 
 
 def test_free_names_output():
-    ns = free_names(parse_term("x!z"))
-    assert ns.free == {x, z}
-    assert ns.bound == frozenset()
+    p = parse_term("x!z")
+    assert _free(p) == {x, z}
+    assert _bound(p) == frozenset()
 
 
 def test_free_names_boudol_image():
     # hand-checked structural recursion over the Boudol image of x!z.0
     p = parse_term("(nu u)(x!u | u?(v).(v!z | 0))")
-    ns = free_names(p)
-    assert ns.free == {x, z}
-    assert ns.bound == {Name("u"), Name("v")}
-    assert ns.all == ns.free | ns.bound
+    assert _free(p) == {x, z}
+    assert _bound(p) == {Name("u"), Name("v")}
+    assert names(p) == _free(p) | _bound(p)
 
 
 def test_substitute_bound_occurrence_unchanged():
@@ -50,8 +48,8 @@ def test_substitute_capture_renames_binder():
     p = parse_term("x?(w).y!w.0")
     q = substitute(p, y, w)
     assert alpha_eq(q, parse_term("x?(q).w!q.0"))
-    assert w in free_names(q).free
-    assert y not in free_names(q).free
+    assert w in _free(q)
+    assert y not in _free(q)
 
 
 def test_substitute_all_simultaneous_swap():
@@ -148,12 +146,12 @@ def _terms():
 @given(_terms(), _names, _names)
 @settings(max_examples=150, deadline=None)
 def test_substitution_free_name_law(p, old, new):
-    got = free_names(substitute(p, old, new)).free
-    expected_sub = (free_names(p).free - {old}) | {new}
-    if old in free_names(p).free:
-        assert got == expected_sub if old != new else got == free_names(p).free
+    got = _free(substitute(p, old, new))
+    expected_sub = (_free(p) - {old}) | {new}
+    if old in _free(p):
+        assert got == expected_sub if old != new else got == _free(p)
     else:
-        assert got == free_names(p).free
+        assert got == _free(p)
 
 
 @given(_terms())
@@ -161,7 +159,7 @@ def test_substitution_free_name_law(p, old, new):
 def test_alpha_normalize_idempotent_and_fn_preserving(p):
     n = alpha_normalize(p)
     assert alpha_normalize(n) == n
-    assert free_names(n).free == free_names(p).free
+    assert _free(n) == _free(p)
 
 
 @given(_terms(), _terms(), _terms())
