@@ -47,6 +47,10 @@ class CheckReport:
         return self.status == "pass"
 
 
+# The report status of each bisimulation verdict status.
+REPORT_STATUS = {"related": "pass", "not_related": "fail", "unknown": "unknown"}
+
+
 def inert_steps(p: Process) -> frozenset:
     """All one-step inert reducts of an asynchronous term: a private
     send/receive pair on a restricted channel is consumed, provided the
@@ -360,8 +364,8 @@ def check_name_invariance(
         ok = alpha_eq(renamed_then_encoded, encoded_then_renamed)
         return CheckReport("name-invariance", instance, "pass" if ok else "fail", {})
     verdict = check_bisim(RelationKind("wbb"), renamed_then_encoded, encoded_then_renamed, depth)
-    status = {"related": "pass", "not_related": "fail", "unknown": "unknown"}[verdict.status]
-    return CheckReport("name-invariance", instance, status, {"verdict": verdict.status})
+    return CheckReport("name-invariance", instance, REPORT_STATUS[verdict.status],
+                       {"verdict": verdict.status})
 
 
 def check_compositionality(scheme: EncodingScheme, op: Op, args) -> CheckReport:

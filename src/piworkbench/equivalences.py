@@ -8,13 +8,14 @@ outside the built fragments can downgrade Related to Unknown, never
 flip it to NotRelated.
 
 Each game explores on the fly from its root pairs: obligations are built
-only for the pairs reachable from them, a loose refinement decides
-`not_related`, and a strict one, started from the loose survivors, decides
-`related`.  `relate` plays the root pairs of a reduction kind in one game
-over shared fragments; `check_bisim` is its one-pair case.  The relation
-of a `related` verdict holds the strict survivors reachable from the root
-pair.  A witness is searched breadth-first from the root and rendered only
-once chosen.
+only for the pairs reachable from them.  An obligation is a three-valued
+clause, `_FAIL` < `_TAINT` (cut off by the bound) < `_OK`, and one fixpoint
+lowers every pair to its worst clause (Bruns & Godefroid, CAV 1999): a root
+at `_FAIL` is `not_related`, at `_TAINT` `unknown`, at `_OK` `related`.
+`relate` plays the root pairs of a reduction kind in one game over shared
+fragments; `check_bisim` is its one-pair case.  The relation of a `related`
+verdict holds the `_OK` pairs reachable from the root pair.  A witness is
+searched breadth-first from the root and rendered only once chosen.
 """
 
 from __future__ import annotations
@@ -170,16 +171,13 @@ def saturate(frag: LtsFragment) -> Saturation:
     return Saturation(tuple(closures), weak)
 
 
-_OK, _FAIL, _TAINT = "ok", "fail", "taint"
+# A clause's value: definitely unmatched, cut off by the bound, matched.
+_FAIL, _TAINT, _OK = 0, 1, 2
+_VERDICT = ("not_related", "unknown", "related")  # by a root pair's value
 _OTHER = {"left": "right", "right": "left"}
 
-_CATEGORY_RANK = {
-    "input-move": 0,
-    "output-move": 1,
-    "barb": 2,
-    "divergence": 3,
-    "tau-move": 4,
-}
+_CATEGORY_RANK = {c: rank for rank, c in enumerate(
+    ("input-move", "output-move", "barb", "divergence", "tau-move"))}
 
 # The lowest-ranked blame category each kind can produce; the reduction-based
 # kinds produce "barb" at best.
@@ -196,42 +194,71 @@ class Blame(NamedTuple):
     y: int = 0  # the other side's state, whose weak moves are the near misses
 
 
+# A clause is a value, a pair (worth that pair's value), or one of these
+# nodes over clauses.
+class _Any(tuple):
+    """A clause worth its best part; with no part, `_FAIL`."""
+
+
+class _All(tuple):
+    """A clause worth its worst part; with no part, `_OK`."""
+
+
+def _exists(parts: list, complete: bool) -> _Any:
+    """Some part holds; failing that, the clause fails only if `complete`."""
+    return _Any(parts if complete else parts + [_TAINT])
+
+
+def _value(clause, status: dict) -> int:
+    """A clause's value when each pair it names is worth what `status` gives
+    it; pair leaves are looked up in place.  A node is decided by a part at
+    its deciding end (`_OK` for any-of, `_FAIL` for all-of); failing that,
+    it is `_TAINT` if a part is, else worth its other end."""
+    kind = clause.__class__
+    if kind is tuple:
+        return status[clause]
+    if kind is int:
+        return clause
+    decides, other = (_OK, _FAIL) if kind is _Any else (_FAIL, _OK)
+    for part in clause:
+        kind = part.__class__
+        v = status[part] if kind is tuple else part if kind is int else _value(part, status)
+        if v == decides:
+            return v
+        if v == _TAINT:
+            other = _TAINT
+    return other
+
+
+def _named_pairs(clauses, out: set) -> set:
+    """Add to `out` every pair the clauses `clauses` name."""
+    for clause in clauses:
+        kind = clause.__class__
+        if kind is tuple:
+            out.add(clause)
+        elif kind is not int:
+            _named_pairs(clause, out)
+    return out
+
+
 def _divergence_status(frag: LtsFragment, sat: Saturation) -> list:
     divergent = tau_divergent(frag)
-    out = []
-    for i in range(len(frag.states)):
-        _, closed = sat.tau_closure[i]
-        if i in divergent:
-            out.append("yes")
-        elif closed:
-            out.append("no")
-        else:
-            out.append("unknown")
-    return out
-
-
-def _named_pairs(obs, out: set) -> set:
-    """Add to `out` every pair the obligations `obs` name."""
-    for ob in obs:
-        if ob[0] == "exists":
-            for e in ob[1]:
-                out.update(e[1:])
-        elif ob[0] in ("forall", "disj"):
-            _named_pairs(ob[1], out)
-    return out
+    return ["yes" if i in divergent else "no" if closed else "unknown"
+            for i, (_, closed) in enumerate(sat.tau_closure)]
 
 
 class _Engine:
     """The bisimulation game of one check, explored on the fly.
 
-    Both fragments are built and saturated up front.  Clause obligations
-    are built only for the pairs a check asks about and for the pairs
-    reachable from them through the pairs obligations name, their closure;
-    no obligation names a pair outside its own pair's closure.  A pair's
-    status reads only the pairs its obligations name, so sweeping every
-    explored pair, a set closed under naming, gives each of them the round
-    and blames that sweeps over every pair would give: verdicts and
-    witnesses do not depend on how much of the game was explored."""
+    Both fragments are built and saturated up front.  Obligations, each a
+    (clause, blame) pair, are built only for the pairs a check asks about
+    and for the pairs reachable from them through the pairs clauses name,
+    their closure.  `refine` gives each explored pair, in `status`, the
+    greatest fixpoint of "a pair is worth its worst clause".  A pair's
+    value reads only the pairs its clauses name, so refining every explored
+    pair, a set closed under naming, gives each the value and blames that
+    refining every pair would give: verdicts and witnesses do not depend on
+    how much of the game was explored."""
 
     def __init__(self, kind: RelationKind, fa: LtsFragment, fb: LtsFragment, wset: tuple):
         self.kind = kind
@@ -249,22 +276,18 @@ class _Engine:
                 ]
                 for s, (frag, _) in self.sides.items()
             }
-            self.weak_obs = {}
-            for s, (frag, _) in self.sides.items():
-                per = []
-                for i in range(len(frag.states)):
-                    cl, closed = self.sat[s].tau_closure[i]
-                    found = frozenset().union(*(self.obs[s][j] for j in cl))
-                    per.append((found, closed))
-                self.weak_obs[s] = per
+            self.weak_obs = {
+                s: [(frozenset().union(*(self.obs[s][j] for j in cl)), closed)
+                    for cl, closed in self.sat[s].tau_closure]
+                for s in self.sides
+            }
         if kind.divergence_preserving:
             self.div = {
                 s: _divergence_status(frag, self.sat[s]) for s, (frag, _) in self.sides.items()
             }
-        self.table = {}  # explored pair -> its clause obligations
-        self.removed = {}  # pair -> sweep round of its removal by the loose refinement
-        self.blames = {}  # pair -> the blames recorded when it was removed
-        self.relation = []  # the strict survivors of `decide`, sorted
+        self.table = {}  # explored pair -> its obligations
+        self.status = {}  # explored pair -> its value, in sorted pair order
+        self.blames = {}  # `_FAIL` pair -> the blames of the clauses that failed it
 
     def obligations(self, pair: tuple) -> tuple:
         i, j = pair
@@ -279,11 +302,11 @@ class _Engine:
         if self.kind.divergence_preserving and side == "left":
             dx, dy = self.div["left"][x], self.div["right"][y]
             if "unknown" in (dx, dy):
-                obs.append(("static", _TAINT, None))
+                obs.append((_TAINT, None))
             elif dx != dy:
-                obs.append(("static", _FAIL, Blame(side, "divergence", (dx, dy))))
+                obs.append((_FAIL, Blame(side, "divergence", (dx, dy))))
         if x in fx.frontier:
-            obs.append(("static", _TAINT, None))
+            obs.append((_TAINT, None))
         if self.kind.reduction_based:
             obs.extend(self._barb_obligations(side, x, y))
             obs.extend(self._tau_obligations(side, x, y, fx, fy))
@@ -297,7 +320,7 @@ class _Engine:
         for b in sorted(self.obs[side][x]):
             if b in found:
                 continue
-            yield ("static", _FAIL if closed else _TAINT, Blame(side, "barb", b))
+            yield (_FAIL if closed else _TAINT, Blame(side, "barb", b))
 
     def _tau_obligations(self, side: str, x: int, y: int, fx: LtsFragment, fy: LtsFragment):
         cly, closedy = self.sat[_OTHER[side]].tau_closure[y]
@@ -305,16 +328,14 @@ class _Engine:
             if not isinstance(a, Tau):
                 continue
             if self.kind.branching:
-                entries = [("pair", self._key(side, x2, y))]
+                parts = [self._key(side, x2, y)]
                 for y1 in sorted(cly):
                     for b, y2 in fy.out[y1]:
                         if isinstance(b, Tau):
-                            entries.append(
-                                ("pair2", self._key(side, x, y1), self._key(side, x2, y2))
-                            )
+                            parts.append(_All((self._key(side, x, y1), self._key(side, x2, y2))))
             else:
-                entries = [("pair", self._key(side, x2, y2)) for y2 in sorted(cly)]
-            yield ("exists", tuple(entries), closedy, Blame(side, "tau-move", a))
+                parts = [self._key(side, x2, y2) for y2 in sorted(cly)]
+            yield (_exists(parts, closedy), Blame(side, "tau-move", a))
 
     def _near_miss(self, side: str, y: int, chan) -> tuple:
         moves, _ = self.sat[side].weak_moves[y]
@@ -327,69 +348,66 @@ class _Engine:
             if isinstance(a, Tau):
                 continue
             if isinstance(a, FreeOutput):
-                entries = [
-                    ("pair", self._key(side, x2, y2)) for b, y2 in ymoves if b == a
-                ]
-                yield ("exists", tuple(entries), ycomplete, Blame(side, "output-move", a, y))
+                parts = [self._key(side, x2, y2) for b, y2 in ymoves if b == a]
+                yield (_exists(parts, ycomplete), Blame(side, "output-move", a, y))
             elif isinstance(a, BoundOutput):
-                entries = []
+                parts = []
                 for b, y2 in ymoves:
                     if not isinstance(b, BoundOutput) or b.chan != a.chan:
                         continue
-                    entries.append(self._aligned_entry(side, fx, fy, x2, y2, b.datum, a.datum))
-                yield ("exists", tuple(entries), ycomplete, Blame(side, "output-move", a, y))
+                    parts.append(self._aligned_entry(side, fx, fy, x2, y2, b.datum, a.datum))
+                yield (_exists(parts, ycomplete), Blame(side, "output-move", a, y))
             elif isinstance(a, InputLab) and self.kind.kind == "ewb":
-                yield self._input_obligation(side, x2, a, y, fx, fy, ymoves, ycomplete)
+                yield (self._input_clause(side, x2, a, fx, fy, ymoves, ycomplete),
+                       Blame(side, "input-move", a, y))
         if self.kind.kind == "wab":
             xmoves, xcomplete = self.sat[side].weak_moves[x]
             if not xcomplete:
-                yield ("static", _TAINT, None)
+                yield (_TAINT, None)
             for a, x2 in xmoves:
                 if not isinstance(a, InputLab):
                     continue
-                branch_a = self._input_obligation(side, x2, a, y, fx, fy, ymoves, ycomplete)
+                branch_a = self._input_clause(side, x2, a, fx, fy, ymoves, ycomplete)
                 cly, closedy = sy.tau_closure[y]
-                entries = []
+                parts = []
                 for y2 in sorted(cly):
                     buffered = normalize(Par(fy.states[y2], Output(a.chan, a.datum, NIL)))
-                    entries.append(self._resolve(side, fx, fy, x2, buffered))
-                branch_b = ("exists", tuple(entries), closedy, None)
-                yield ("disj", (branch_a, branch_b), Blame(side, "input-move", a, y))
+                    parts.append(self._resolve(side, fx, fy, x2, buffered))
+                branch_b = _exists(parts, closedy)
+                yield (_Any((branch_a, branch_b)), Blame(side, "input-move", a, y))
 
     def _aligned_entry(self, side, fx, fy, x2, y2, have, want):
         if have == want:
-            return ("pair", self._key(side, x2, y2))
+            return self._key(side, x2, y2)
         aligned = normalize(substitute(fy.states[y2], have, want))
         return self._resolve(side, fx, fy, x2, aligned)
 
     def _resolve(self, side, fx, fy, x2, term: Process):
         j2 = fy.index.get(term)
         if j2 is not None:
-            return ("pair", self._key(side, x2, j2))
-        if fx.states[x2] == term:
-            return ("ok",)
-        return ("taint",)
+            return self._key(side, x2, j2)
+        return _OK if fx.states[x2] == term else _TAINT
 
-    def _input_obligation(self, side, x2, a, y, fx, fy, ymoves, ycomplete):
+    def _input_clause(self, side, x2, a, fx, fy, ymoves, ycomplete) -> _All:
         matches = [(b, y2) for b, y2 in ymoves if isinstance(b, InputLab) and b.chan == a.chan]
         subs = []
         for w in self.wset:
-            entries = []
+            parts = []
             if matches:
                 u1 = normalize(substitute(fx.states[x2], a.datum, w))
                 i2 = fx.index.get(u1)
             for b, y2 in matches:
                 u2 = normalize(substitute(fy.states[y2], b.datum, w))
                 if u1 == u2:
-                    entries.append(("ok",))
+                    parts.append(_OK)
                     continue
                 j2 = fy.index.get(u2)
                 if i2 is not None and j2 is not None:
-                    entries.append(("pair", self._key(side, i2, j2)))
+                    parts.append(self._key(side, i2, j2))
                 else:
-                    entries.append(("taint",))
-            subs.append(("exists", tuple(entries), ycomplete, None))
-        return ("forall", tuple(subs), Blame(side, "input-move", a, y))
+                    parts.append(_TAINT)
+            subs.append(_exists(parts, ycomplete))
+        return _All(subs)
 
     def _render(self, blame: Blame) -> tuple:
         """The (label, detail, near-miss labels) of a blame."""
@@ -413,42 +431,7 @@ class _Engine:
             detail = f"{side} performs input {label} which the {other} side cannot weakly match"
         return label, detail, near_miss
 
-    # --- evaluation -------------------------------------------------
-
-    def _eval(self, ob, live) -> str:
-        tag = ob[0]
-        if tag == "static":
-            return ob[1]
-        if tag == "exists":
-            _, entries, complete, _ = ob
-            taint = not complete
-            for e in entries:
-                if e[0] == "ok":
-                    return _OK
-                if e[0] == "pair" and e[1] in live:
-                    return _OK
-                if e[0] == "pair2" and e[1] in live and e[2] in live:
-                    return _OK
-                if e[0] == "taint":
-                    taint = True
-            return _TAINT if taint else _FAIL
-        if tag == "forall":
-            worst = _OK
-            for sub in ob[1]:
-                s = self._eval(sub, live)
-                if s == _FAIL:
-                    return _FAIL
-                if s == _TAINT:
-                    worst = _TAINT
-            return worst
-        if tag == "disj":
-            statuses = [self._eval(sub, live) for sub in ob[1]]
-            if _OK in statuses:
-                return _OK
-            if all(s == _FAIL for s in statuses):
-                return _FAIL
-            return _TAINT
-        raise AssertionError(ob)
+    # --- the fixpoint -----------------------------------------------
 
     def explore(self, roots) -> bool:
         """Build obligations for every pair reachable from `roots` that was
@@ -459,75 +442,71 @@ class _Engine:
             pair = stack.pop()
             if pair not in self.table:
                 obs = self.table[pair] = self.obligations(pair)
-                stack.extend(_named_pairs(obs, set()))
+                stack.extend(_named_pairs((clause for clause, _ in obs), set()))
         return len(self.table) > size
 
-    def refine(self, pairs, strict: bool) -> tuple:
-        """Remove the pairs of `pairs` that fail a clause (or, when strict,
-        are tainted) by sweeps over them in sorted order, repeated until a
-        sweep removes nothing; a pair outside `pairs` counts as removed.
-        Returns the sweep round and the blames of each removed pair."""
-        order = sorted(pairs)
-        live = set(order)
-        rounds, blames = {}, {}
-        rnd, changed = 0, True
-        while changed:
-            rnd, changed = rnd + 1, False
+    def refine(self) -> None:
+        """Lower every explored pair, from `_OK`, to the worst value of its
+        clauses, by sweeps in sorted order until a sweep changes nothing; a
+        pair that falls to `_FAIL` keeps the blames of the clauses that
+        failed it.  A `_TAINT` pair can only fall to `_FAIL`, and whether a
+        clause fails reads only which pairs are `_FAIL`: so it is evaluated
+        again only once some pair has fallen to `_FAIL` since."""
+        order = sorted(self.table)
+        status = self.status = dict.fromkeys(order, _OK)
+        self.blames = {}
+        seen = {}  # `_TAINT` pair -> `falls` at its last evaluation
+        moves = falls = 0
+        swept = None
+        while swept != moves:
+            swept = moves
             for pair in order:
-                if pair not in live:
+                old = status[pair]
+                if old == _FAIL or (old == _TAINT and seen[pair] == falls):
                     continue
-                fails, tainted = self._status(pair, live)
-                if fails or (strict and tainted):
-                    live.discard(pair)
-                    rounds[pair], blames[pair] = rnd, tuple(fails)
-                    changed = True
-        return rounds, blames
-
-    def _status(self, pair, live) -> tuple:
-        fails = []
-        tainted = False
-        for ob in self.table[pair]:
-            s = self._eval(ob, live)
-            if s == _FAIL:
-                fails.append(ob[-1])
-            elif s == _TAINT:
-                tainted = True
-        return fails, tainted
+                new, failed = _OK, []
+                for clause, blame in self.table[pair]:
+                    v = _value(clause, status)
+                    if v == _FAIL:
+                        failed.append(blame)
+                    elif v < new:
+                        new = v
+                if failed:
+                    new, self.blames[pair] = _FAIL, tuple(failed)
+                    falls += 1
+                if new != old:
+                    status[pair] = new
+                    moves += 1
+                seen[pair] = falls
 
     def settle(self, roots) -> None:
-        """Explore from `roots`; when that reached new pairs, run the loose
-        refinement again over every explored pair."""
+        """Explore from `roots`; when that reached new pairs, refine every
+        explored pair again."""
         if self.explore(roots):
-            self.removed, self.blames = self.refine(self.table, False)
+            self.refine()
 
     def decide(self, roots) -> list:
-        """The status of each root pair, on a fresh engine.  The loose
-        refinement of their closure decides `not_related`; when a root
-        survived it, a strict one over its survivors (the strict fixpoint
-        lies inside the loose one) decides `related` and keeps its
-        survivors, sorted, in `relation`."""
+        """The status of each root pair, on a fresh engine, read from its
+        value after `settle`: `_FAIL` is `not_related`, `_TAINT` `unknown`
+        and `_OK` `related`."""
         self.settle(roots)
-        failed = {}
-        if any(root not in self.removed for root in roots):
-            survivors = [pair for pair in self.table if pair not in self.removed]
-            failed, _ = self.refine(survivors, True)
-            self.relation = sorted(pair for pair in survivors if pair not in failed)
-        return ["not_related" if r in self.removed else "unknown" if r in failed else "related"
-                for r in roots]
+        return [_VERDICT[self.status[root]] for root in roots]
 
     def audit(self, live) -> tuple:
-        """Explore from the pairs of a fixed relation and replay each one's
-        clauses against it; returns definite violations (frontier-induced
-        unknowns are not violations)."""
+        """Explore from the pairs of a fixed relation and evaluate each one's
+        clauses with its pairs `_OK` and every other pair `_FAIL`; returns
+        the clauses that fail (a `_TAINT` clause, cut off by the bound, is
+        no violation)."""
         self.explore(live)
-        return tuple((pair, _FAIL, blame.category)
-                     for pair in sorted(live) for blame in self._status(pair, live)[0])
+        status = {pair: _OK if pair in live else _FAIL for pair in self.table}
+        return tuple((pair, "fail", blame.category) for pair in sorted(live)
+                     for clause, blame in self.table[pair] if _value(clause, status) == _FAIL)
 
     def witness(self) -> Witness:
-        """Counterexample once the loose refinement removed the root pair
-        (so level 0 already holds a blame).
+        """Counterexample once the root pair fell to `_FAIL` (so level 0
+        already holds a blame).
 
-        Of all blames of removed pairs, the one with the lowest (category
+        Of all blames of `_FAIL` pairs, the one with the lowest (category
         rank, BFS distance in the product of the fragments, pair, index)
         wins.  The product is walked level by level, settling each level's
         pairs, and the walk stops after the first level that holds a blame
@@ -620,14 +599,16 @@ def _games(kind: RelationKind, pairs: list, depth: int) -> list:
 
 def relate(kind: RelationKind, pairs, depth: int) -> tuple:
     """The status of each (p, q) of `pairs` over fragments bounded by
-    `depth`.  For the reduction kinds every pair plays in one game, over a
-    left fragment from all first terms and a right one from all second
-    terms.  These expand every state a pair's own fragments expand, so a
-    status `check_bisim` decides is the same here, and only `unknown` can
-    become definite.  A label kind's pair plays alone, as `check_bisim`
-    plays it: its universe depends on its terms, and `_Engine._resolve`
-    takes an aligned term equal to the other side as a match only when the
-    fragment lacks it, so a shared fragment could undo a `related`."""
+    `depth`: the value its root pair ends with in its game's one
+    three-valued refinement.  For the reduction kinds every pair plays in
+    one game, over a left fragment from all first terms and a right one
+    from all second terms.  These expand every state a pair's own
+    fragments expand, so a status `check_bisim` decides is the same here,
+    and only `unknown` can become definite.  A label kind's pair plays
+    alone, as `check_bisim` plays it: its universe depends on its terms,
+    and `_Engine._resolve` takes an aligned term equal to the other side as
+    a match only when the fragment lacks it, so a shared fragment could
+    undo a `related`."""
     with paused_gc():
         return tuple(status for status, _ in _games(kind, list(pairs), depth))
 
@@ -650,13 +631,17 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
         if status == "unknown":
             reason = "bounded exploration hit a frontier or left the built fragments"
             return Verdict("unknown", reason=reason, approximations=approx)
-        rel = tuple((eng.fa.states[i], eng.fb.states[j]) for i, j in eng.relation)
+        # `status` keeps the sorted order of the pairs
+        rel = tuple((eng.fa.states[i], eng.fb.states[j])
+                    for (i, j), value in eng.status.items() if value == _OK)
         return Verdict("related", relation=rel, approximations=approx)
 
 
 def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relation) -> tuple:
     """Replay a Related verdict's relation clause-by-clause; empty result
-    means the self-audit passed."""
+    means the self-audit passed.  `depth` is the verdict's, so at least 1."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     eng = _build_engine(kind, [(p, q)], depth)
     live = set()
     bad = []

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import memo
-from .correspondence import (CheckReport, Criterion, check_completeness,
-                             check_lemma, check_soundness,
+from .correspondence import (REPORT_STATUS, CheckReport, Criterion,
+                             check_completeness, check_lemma, check_soundness,
                              check_success_sensitiveness)
 from .encodings import Boudol, encode, scheme_from_string
 from .equivalences import RelationKind, check_bisim
@@ -226,11 +226,10 @@ def _bisim_validity(term, scheme, depth, params) -> CheckReport:
         bool(params.get("branching", False)),
     )
     verdict = check_bisim(rk, term, encode(scheme, term), depth)
-    status = {"related": "pass", "not_related": "fail", "unknown": "unknown"}[verdict.status]
     details = {"verdict": verdict.status}
     if verdict.witness is not None:
         details["witness"] = verdict.witness.describe()
-    return CheckReport("bisim-validity", {}, status, details)
+    return CheckReport("bisim-validity", {}, REPORT_STATUS[verdict.status], details)
 
 
 def _divergence(term, scheme, depth, params) -> CheckReport:
