@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .memo import memo
 from .syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par, Process,
-                     Repl, Restrict, Success, _free, fresh_variant, names,
+                     Repl, Restrict, Success, _bound, _free, fresh_variant, names,
                      substitute)
 
 BOUDOL = "boudol"
@@ -71,7 +71,9 @@ def encode(scheme: EncodingScheme, p: Process) -> Process:
     names; every name the translation introduces is bound."""
     if scheme not in (Boudol, HondaTokoro):
         raise ValueError(f"unknown encoding scheme {scheme!r}")
-    bad = sorted(n for n in names(p) if n.reserved)
+    # every check of a source term encodes it again, so its names are read
+    # from the tables, not folded afresh by `names`
+    bad = sorted(n for n in _free(p) | _bound(p) if n.reserved)
     if bad:
         raise ValueError(f"reserved names in source term: {', '.join(map(str, bad))}")
     return _encode(scheme, p)

@@ -28,8 +28,8 @@ from .congruence import normalize
 from .explore import Exploration
 from .memo import paused_gc
 from .observables import CHAN, IN, OUT, SUCC, strong_barbs
-from .semantics import (BoundOutput, FreeOutput, InputLab, LtsFragment, Tau,
-                        build_fragment, render_label, tau_divergent,
+from .semantics import (TAU, BoundOutput, FreeOutput, InputLab, LtsFragment,
+                        Tau, build_fragment, render_label, tau_divergent,
                         universe_fresh_names)
 from .syntax import NIL, Output, Par, Process, _free, names, substitute
 from .text import render_term
@@ -258,7 +258,13 @@ class _Engine:
     value reads only the pairs its clauses name, so refining every explored
     pair, a set closed under naming, gives each the value and blames that
     refining every pair would give: verdicts and witnesses do not depend on
-    how much of the game was explored."""
+    how much of the game was explored.
+
+    A game keeps one copy of each pair: every pair is made by `pair`, so
+    `table`, `status`, `blames`, the roots and each clause that names the
+    pair share one tuple, and every tau move of a side shares one blame."""
+
+    tau_blame = {side: Blame(side, "tau-move", TAU) for side in ("left", "right")}
 
     def __init__(self, kind: RelationKind, fa: LtsFragment, fb: LtsFragment, wset: tuple):
         self.kind = kind
@@ -285,6 +291,7 @@ class _Engine:
             self.div = {
                 s: _divergence_status(frag, self.sat[s]) for s, (frag, _) in self.sides.items()
             }
+        self.pairs = {}  # pair -> its one tuple in this game
         self.table = {}  # explored pair -> its obligations
         self.status = {}  # explored pair -> its value, in sorted pair order
         self.blames = {}  # `_FAIL` pair -> the blames of the clauses that failed it
@@ -293,8 +300,14 @@ class _Engine:
         i, j = pair
         return self._pair_obligations("left", i, j) + self._pair_obligations("right", j, i)
 
+    def pair(self, i: int, j: int) -> tuple:
+        """The one tuple of the pair (i, j) in this game, which the tables,
+        the roots and every clause that names the pair share."""
+        return self._key("left", i, j)
+
     def _key(self, side: str, x2: int, y2: int) -> tuple:
-        return (x2, y2) if side == "left" else (y2, x2)
+        pair = (x2, y2) if side == "left" else (y2, x2)
+        return self.pairs.setdefault(pair, pair)
 
     def _pair_obligations(self, side: str, x: int, y: int) -> tuple:
         fx, fy = self.sides[side]
@@ -335,7 +348,7 @@ class _Engine:
                             parts.append(_All((self._key(side, x, y1), self._key(side, x2, y2))))
             else:
                 parts = [self._key(side, x2, y2) for y2 in sorted(cly)]
-            yield (_exists(parts, closedy), Blame(side, "tau-move", a))
+            yield (_exists(parts, closedy), self.tau_blame[side])
 
     def _near_miss(self, side: str, y: int, chan) -> tuple:
         moves, _ = self.sat[side].weak_moves[y]
@@ -515,11 +528,11 @@ class _Engine:
 
         def moves(pair):
             i, j = pair
-            return [(("left", a), (i2, j)) for a, i2 in self.fa.out[i]] + [
-                (("right", b), (i, j2)) for b, j2 in self.fb.out[j]
+            return [(("left", a), self.pair(i2, j)) for a, i2 in self.fa.out[i]] + [
+                (("right", b), self.pair(i, j2)) for b, j2 in self.fb.out[j]
             ]
 
-        walk = Exploration(((0, 0),), moves, len(self.fa.states) * len(self.fb.states))
+        walk = Exploration((self.pair(0, 0),), moves, len(self.fa.states) * len(self.fb.states))
         best = None
         level = range(1)
         while level:
@@ -590,8 +603,8 @@ def _games(kind: RelationKind, pairs: list, depth: int) -> list:
             groups.setdefault(None if kind.reduction_based else n, []).append(n)
     for ns in groups.values():
         eng = _build_engine(kind, [pairs[n] for n in ns], depth)
-        roots = [(eng.fa.index[normalize(pairs[n][0])], eng.fb.index[normalize(pairs[n][1])])
-                 for n in ns]
+        roots = [eng.pair(eng.fa.index[normalize(pairs[n][0])],
+                          eng.fb.index[normalize(pairs[n][1])]) for n in ns]
         for n, status in zip(ns, eng.decide(roots)):
             out[n] = (status, eng)
     return out
@@ -651,5 +664,5 @@ def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relat
         if i is None or j is None:
             bad.append(((pa, pb), "fail", "pair outside fragments"))
         else:
-            live.add((i, j))
+            live.add(eng.pair(i, j))
     return tuple(bad) + eng.audit(live)

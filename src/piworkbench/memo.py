@@ -6,7 +6,11 @@ The module imports nothing from the package, so every layer can use it.
 A table is keyed only by terms that are asked about again.  A term built
 to be used once, such as a transition target, gets no entry: it goes
 through `normalize_transient` and `substitute_transient`, which key only
-the components under its fresh spine, so no table keeps it alive."""
+the components under its fresh spine, so no table keeps it alive.  Nor
+does a state's spine, which is asked about once: `semantics.caps` and
+`syntax.names` read through restriction blocks and parallel spines and
+key only the components under them, and `text.render_term` keys a
+restriction block once, not each of its suffixes."""
 
 from __future__ import annotations
 

@@ -205,12 +205,29 @@ class LtsFragment:
         return tuple((i, a, j) for i, moves in enumerate(self.out) for a, j in moves)
 
 
-@memo
 def caps(p: Process) -> tuple:
     """What `p` can do at once, by structure: (the subjects of its
     unguarded outputs, those of its unguarded inputs, whether it has a tau
     transition, whether it reports success).  The subjects are those of
-    the visible transitions of `_raw_transitions`."""
+    the visible transitions of `_raw_transitions`.  Restriction blocks and
+    parallel spines are read through, and only the components under them
+    get table entries (`_caps`): a state's spine is asked about once."""
+    match p:
+        case Par(l, r):
+            louts, lins, ltau, lsucc = caps(l)
+            routs, rins, rtau, rsucc = caps(r)
+            tau = ltau or rtau or not (louts.isdisjoint(rins) and routs.isdisjoint(lins))
+            return _union(louts, routs), _union(lins, rins), tau, lsucc or rsucc
+        case Restrict(y, body):
+            outs, ins, tau, succ = caps(body)
+            return _without(outs, y), _without(ins, y), tau, succ
+    return _caps(p)
+
+
+@memo
+def _caps(p: Process) -> tuple:
+    """`caps` of a component: a term that is neither a restriction nor a
+    parallel composition."""
     match p:
         case Output(c, _, _):
             return frozenset((c,)), frozenset(), False, False
@@ -218,18 +235,10 @@ def caps(p: Process) -> tuple:
             return frozenset(), frozenset((c,)), False, False
         case Success():
             return frozenset(), frozenset(), False, True
-        case Par(l, r):
-            louts, lins, ltau, lsucc = caps(l)
-            routs, rins, rtau, rsucc = caps(r)
-            tau = ltau or rtau or not (louts.isdisjoint(rins) and routs.isdisjoint(lins))
-            return _union(louts, routs), _union(lins, rins), tau, lsucc or rsucc
         case Repl(body):
             # a body whose outputs meet its inputs has a tau of its own, so
             # two copies add none
             return caps(body)
-        case Restrict(y, body):
-            outs, ins, tau, succ = caps(body)
-            return _without(outs, y), _without(ins, y), tau, succ
         case Nil() | Hole():
             return frozenset(), frozenset(), False, False
     raise TypeError(f"not a process: {p!r}")

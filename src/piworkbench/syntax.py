@@ -248,7 +248,15 @@ def _bound(p: Process) -> frozenset:
 
 
 def names(p: Process) -> frozenset:
-    return _free(p) | _bound(p)
+    """The free and bound names of `p`.  Restriction blocks and parallel
+    spines are read through, and only the components under them go through
+    the `_free` and `_bound` tables: a state's spine is asked about once."""
+    match p:
+        case Par(l, r):
+            return _union(names(l), names(r))
+        case Restrict(b, body):
+            return _with(names(body), b)
+    return _union(_free(p), _bound(p))
 
 
 @memo

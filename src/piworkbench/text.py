@@ -176,8 +176,14 @@ def render_term(p: Process) -> str:
             return head if k == NIL else f"{head}.{_render_factor(k)}"
         case Input(c, b, k):
             return f"{c}?({b}).{_render_factor(k)}"
-        case Restrict(b, body):
-            return f"(nu {b}){_render_factor(body)}"
+        case Restrict(_, _):
+            # a restriction block renders in one piece: its suffixes get
+            # no entries, and a long block no deep recursion
+            block = []
+            while isinstance(p, Restrict):
+                block.append(f"(nu {p.binder})")
+                p = p.body
+            return "".join(block) + _render_factor(p)
         case Repl(body):
             return f"!{_render_factor(body)}"
         case Par(_, _):

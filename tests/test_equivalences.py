@@ -12,7 +12,7 @@ from piworkbench.equivalences import (AWBB, EWB, KINDS, SRWRB, WAB, WBB, WCB,
                                       check_bisim, relate, saturate)
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import FreeOutput, build_fragment, tau_exploration
-from piworkbench.syntax import Name
+from piworkbench.syntax import Name, _free, names, substitute_all
 from piworkbench.text import parse_term, render_term
 
 x, z = Name("x"), Name("z")
@@ -467,3 +467,82 @@ def test_label_kinds_relate_each_pair_alone(monkeypatch):
                 assert list(statuses) == alone, (kind.kind, render_term(term))
                 decided += sum(s != "unknown" for s in alone)
     assert decided > 100, decided
+
+
+def _pair_leaves(clause):
+    """Every pair a clause names, once per place it is named."""
+    if type(clause) is tuple:
+        yield clause
+    elif not isinstance(clause, int):
+        for part in clause:
+            yield from _pair_leaves(part)
+
+
+def test_each_pair_is_one_object_in_its_game(monkeypatch):
+    # the tables, the roots and every clause that names a pair share its one
+    # tuple, and every tau move of a side shares one blame; the ewb anchor
+    # is refuted, so the witness walk adds pairs too
+    engines, roots = [], []
+    build, decide = equivalences._build_engine, equivalences._Engine.decide
+
+    def recording(*args):
+        engines.append(build(*args))
+        return engines[-1]
+
+    def deciding(eng, rs):
+        roots.append((eng, list(rs)))
+        return decide(eng, rs)
+
+    monkeypatch.setattr(equivalences, "_build_engine", recording)
+    monkeypatch.setattr(equivalences._Engine, "decide", deciding)
+    anchors = (
+        (WBB, "!(nu a)(a?(c).(nu b)(b!a | b?(a).0) | a!b.a!a.c?(b).a!a)", 4, "unknown"),
+        (EWB, "b!b.b!b | b?(c).c!b | b?(c).c!a.c!b", 4, "not_related"),
+    )
+    for kind, text, depth, status in anchors:
+        engines.clear()
+        roots.clear()
+        term = parse_term(text)
+        assert check_bisim(kind, term, encode(Boudol, term), depth).status == status
+        (eng,) = engines
+        (((_, rs),)) = roots
+        one = eng.pairs
+        assert all(one[pair] is pair for pair in rs)
+        assert all(one[pair] is pair for pair in eng.table)
+        assert all(one[pair] is pair for pair in eng.status)
+        assert all(one[pair] is pair for pair in eng.blames)
+        named = 0
+        for obs in eng.table.values():
+            for clause, blame in obs:
+                for pair in _pair_leaves(clause):
+                    assert one[pair] is pair
+                    named += 1
+                if blame is not None and blame.category == "tau-move":
+                    assert blame is eng.tau_blame[blame.side]
+        assert named > len(eng.table)
+
+
+def _spelled_apart(term):
+    """`term` with its free names renamed injectively to fresh user names,
+    in the reverse of their sorted order."""
+    free = sorted(_free(term))
+    fresh = [Name(f"q{i}") for i in reversed(range(len(free)))]
+    assert not set(fresh) & names(term)
+    return substitute_all(term, dict(zip(free, fresh)))
+
+
+def test_verdicts_do_not_depend_on_how_free_names_are_spelled():
+    # ROADMAP item 6: an injective renaming of the free names keeps every
+    # status, for every kind and against both images
+    cfg = GenConfig(seed=5, max_size=8, communication_bias=0.7, allow_replication=False)
+    compared = 0
+    for term in generate_corpus(cfg, 30):
+        renamed = _spelled_apart(term)
+        for scheme in (Boudol, HondaTokoro):
+            for k in KINDS:
+                kind = RelationKind(k)
+                want = check_bisim(kind, term, encode(scheme, term), 4).status
+                got = check_bisim(kind, renamed, encode(scheme, renamed), 4).status
+                assert got == want, (k, scheme.tag, render_term(term), render_term(renamed))
+                compared += 1
+    assert compared == 30 * 2 * len(KINDS)

@@ -22,6 +22,7 @@ from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import build_fragment
+from piworkbench.syntax import NIL, Input, Nil, Output, Par, Repl, Restrict, Success
 from piworkbench.text import parse_term, render_term
 
 GOLDEN = Path(__file__).with_name("normal_form_golden.json")
@@ -112,6 +113,53 @@ def test_golden_blocks_are_canonical():
             forms.setdefault(r["case"].split("/")[0], set()).add(r["nf"])
     assert len(forms) == len(BLOCKS) * (len(BINDERS) - 1)
     assert all(len(nfs) == 1 for nfs in forms.values()), forms
+
+
+def _nested_render(p) -> str:
+    """The renderer defined one node at a time, a restriction as its
+    binder before the render of its body."""
+    def factor(q):
+        return f"({_nested_render(q)})" if isinstance(q, Par) else _nested_render(q)
+
+    match p:
+        case Nil():
+            return "0"
+        case Output(c, d, k):
+            return f"{c}!{d}" if k == NIL else f"{c}!{d}.{factor(k)}"
+        case Input(c, b, k):
+            return f"{c}?({b}).{factor(k)}"
+        case Restrict(b, body):
+            return f"(nu {b}){factor(body)}"
+        case Repl(body):
+            return f"!{factor(body)}"
+        case Par(l, r):
+            return f"{_nested_render(l)} | {factor(r)}"
+        case Success():
+            return "ok"
+    raise TypeError(f"not a golden term: {p!r}")
+
+
+def _subterms(p):
+    yield p
+    match p:
+        case Output(_, _, k) | Input(_, _, k) | Restrict(_, k) | Repl(k):
+            yield from _subterms(k)
+        case Par(l, r):
+            yield from _subterms(l)
+            yield from _subterms(r)
+
+
+def test_block_renders_match_the_nested_definition():
+    # `render_term` renders a restriction block in one piece; over every
+    # subterm of the golden terms, normal forms and states it renders as
+    # the nested definition does
+    blocks = 0
+    for r in json.loads(GOLDEN.read_text()):
+        for text in [r["term"], r["nf"], *r.get("states", ())]:
+            for p in _subterms(parse_term(text, allow_reserved=True)):
+                assert render_term(p) == _nested_render(p)
+                blocks += isinstance(p, Restrict) and isinstance(p.body, Restrict)
+    assert blocks > 500
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from piworkbench import syntax
+from piworkbench import memo, syntax
+from piworkbench.congruence import assemble
 from piworkbench.syntax import (NIL, OK, Input, Name, Output, Par, Repl,
                                 Restrict, _bound, _free, alpha_eq,
                                 alpha_normalize, fresh_variant, is_async,
@@ -74,6 +75,30 @@ def test_render_long_parallel_composition():
     # a Par spine longer than the recursion limit still renders
     p = parse_term(" | ".join(["a!b"] * 3000))
     assert render_term(p) == " | ".join(["a!b"] * 3000)
+
+
+def _block(k: int):
+    """A k-binder restriction block over the outputs x0!x0 and x1!x1."""
+    return assemble([Name(f"x{i}") for i in range(k)], [parse_term("x0!x0"), parse_term("x1!x1")])
+
+
+def test_render_long_restriction_block():
+    # rendering takes no frame per binder, so a 600-binder block renders
+    prefix = "".join(f"(nu x{i})" for i in range(600))
+    assert render_term(_block(600)) == prefix + "(x0!x0 | x1!x1)"
+
+
+def test_render_restriction_block_in_one_entry():
+    # the block's suffixes get no entries of their own
+    memo.clear()
+    p = _block(40)
+    body = p
+    while isinstance(body, Restrict):
+        body = body.body
+    render_term(body)
+    before = render_term.cache_info().currsize
+    render_term(p)
+    assert render_term.cache_info().currsize == before + 1
 
 
 def test_alpha_normalize_restriction():

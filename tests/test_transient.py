@@ -6,20 +6,23 @@ normalized once and dropped: `normalize_transient` gives it the very
 normal form `normalize` returns, with no table entry keyed by the term.
 `_free`, `_bound` and `caps` give what a naive recomputation gives, and
 return an operand's set itself when a union or difference leaves it
-unchanged."""
+unchanged.  `caps` and `names` read a state through its restriction block
+and parallel spine, so only the components under it get table entries."""
 
 from test_normal_form_golden import CORPUS, CORPUS_SIZE, DEPTH, SCHEMES
 
 from piworkbench import memo
-from piworkbench.congruence import _canon, _level_names, normalize, normalize_transient
-from piworkbench.encodings import encode
+from piworkbench.congruence import (_canon, _level_names, level, normalize,
+                                    normalize_transient)
+from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import generate_corpus
+from piworkbench.observables import strong_barbs
 from piworkbench.semantics import (BoundOutput, FreeOutput, InputLab, Tau,
                                    _fresh_representative, _raw_transitions,
                                    _temp_bound_name, build_fragment, caps,
-                                   default_universe)
+                                   default_universe, has_moves)
 from piworkbench.syntax import (Input, Output, Par, Repl, Restrict, Success, _bound, _free,
-                                substitute, substitute_transient)
+                                names, substitute, substitute_transient)
 from piworkbench.text import parse_term
 
 
@@ -114,6 +117,7 @@ def test_name_sets_match_a_naive_recomputation():
             assert _free(p) == _naive_free(p)
             assert _bound(p) == _naive_bound(p)
             assert caps(p) == _naive_caps(p)
+            assert names(p) == _naive_free(p) | _naive_bound(p)
 
 
 def test_unchanged_name_sets_are_shared():
@@ -125,3 +129,25 @@ def test_unchanged_name_sets_are_shared():
     outs, ins, _, _ = caps(p)
     assert outs is caps(body.left)[0]
     assert ins is caps(body.right)[1]
+
+
+def _read(terms) -> int:
+    """Entries that the barb, move-probe and name reads of `terms` add to
+    empty memo tables: those behind `caps`, `_free` and `_bound`, and one
+    `strong_barbs` entry per term."""
+    memo.clear()
+    for p in terms:
+        strong_barbs(p)
+        has_moves(p, tau_only=True)
+        has_moves(p, tau_only=False)
+        names(p)
+    return sum(table.cache_info().currsize for table in memo._TABLES)
+
+
+def test_state_spines_get_no_table_entries():
+    anchor = parse_term("!(nu a)(a?(c).(nu b)(b!a | b?(a).0) | a!b.a!a.c?(b).a!a)")
+    frag = build_fragment(encode(Boudol, anchor), 2, label_mode="tau_only")
+    state = next(s for s in frag.states if all(len(part) >= 3 for part in level(s)))
+    _, comps = level(state)
+    # the state's one `strong_barbs` entry against one per component
+    assert _read([state]) + len(comps) - 1 <= _read(comps)
