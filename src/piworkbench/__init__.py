@@ -22,7 +22,7 @@ from .semantics import (BoundOutput, Diverges, FreeOutput, InputLab, Label,
                         reduce_once, render_label)
 from .syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par, Process,
                      Repl, Restrict, Success, alpha_eq, alpha_normalize,
-                     is_async, names, size, substitute, substitute_all)
+                     is_async, names, substitute, substitute_all)
 from .text import ParseError, parse_term, render_term
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,7 +21,8 @@ from .harness import (CHECKS, CheckSpec, GenConfig, Limits, SuiteReport,
                       generate_corpus, run_suite)
 from .memo import paused_gc
 from .observables import strong_barbs, weak_barbs
-from .semantics import LtsFragment, Tau, build_fragment, render_label
+from .semantics import (LtsFragment, Tau, build_fragment, default_universe,
+                        render_label)
 from .text import ParseError, parse_term, render_term
 
 EXIT_PASS = 0
@@ -79,8 +80,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_lts(args) -> int:
     term = _read_term(args.file, args.allow_reserved)
-    mode = "tau_only" if args.labels == "tau" else "all_labels"
-    frag = build_fragment(term, args.depth, label_mode=mode, universe_extra=args.fresh)
+    if args.fresh < 1:
+        raise ValueError("--fresh must be >= 1")
+    universe = None if args.labels == "tau" else default_universe(normalize(term), args.fresh)
+    frag = build_fragment(term, args.depth, universe=universe)
     taus = sum(1 for _, a, _ in frag.transitions if isinstance(a, Tau))
     print(
         f"states {len(frag.states)} edges {len(frag.transitions)} "

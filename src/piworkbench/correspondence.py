@@ -12,7 +12,7 @@ from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_o
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
 from .explore import explore, unlabelled
-from .semantics import reduce_once, tau_exploration
+from .semantics import build_fragment, reduce_once
 from .syntax import (NIL, Input, Output, Process, _free, alpha_eq, is_async,
                      substitute, substitute_all)
 from .text import render_term
@@ -198,7 +198,7 @@ _MATCH_DEPTH = 8
 
 
 def _completeness_report(check_id, scheme, term, bound, instance, match_related=None):
-    reach, _ = tau_exploration(encode(scheme, term), bound)
+    reach = build_fragment(encode(scheme, term), bound, universe=None)
     per_reduct = []
     ok = True
     for p2 in reduce_once(normalize(term)):
@@ -236,7 +236,10 @@ def check_soundness(
     criterion: Criterion, scheme: EncodingScheme, term: Process, depth: int
 ) -> CheckReport:
     """Soundness criteria: every (weak) step of the translation must be
-    explained by a source computation, at the criterion's strictness."""
+    explained by a source computation, at the criterion's strictness.  A
+    target left unmatched is undecided, not a failure, when the bound cut
+    off a search for its match: its own tau reach or checks, or the
+    source's tau reach."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     tag = criterion.tag
@@ -262,14 +265,16 @@ def check_soundness(
         status = "fail" if failures else "pass"
         return CheckReport("criterion-i", instance, status, {"failures": failures})
 
-    source_images = [_encode(scheme, s) for s in tau_exploration(term, depth)[0].states]
-    targets, frontier = tau_exploration(image, factor * depth)
+    source = build_fragment(term, depth, universe=None)
+    source_images = [_encode(scheme, s) for s in source.states]
+    targets = build_fragment(image, factor * depth, universe=None)
     eq = criterion.equivalence or SRWRB
     # g asks one game about every (tau-descendant, source image) pair; w
     # checks each pair alone, so that each match is a `check_bisim` verdict
     # whose relation can be audited
     if tag == "g":
-        descendants = [tau_exploration(t, factor * depth)[0].states for t in targets.states]
+        descendants = [build_fragment(t, factor * depth, universe=None).states
+                       for t in targets.states]
         pairs = dict.fromkeys((u, img) for us in descendants for u in us for img in source_images)
         verdicts = dict(zip(pairs, relate(eq, pairs, depth)))
     failures = []
@@ -278,9 +283,9 @@ def check_soundness(
         saw_unknown = False
         matched = False
         if tag == "s":
-            reach_t, reach_frontier = tau_exploration(t, factor * depth)
-            matched = any(congruent(u, img, 1) for u in reach_t.states for img in source_images)
-            saw_unknown = not matched and bool(reach_frontier)
+            reach = build_fragment(t, factor * depth, universe=None)
+            matched = any(congruent(u, img, 1) for u in reach.states for img in source_images)
+            saw_unknown = not matched and bool(reach.frontier)
         else:  # w matches t itself, g any of its tau-descendants
             for u in (t,) if tag == "w" else descendants[n]:
                 for img in source_images:
@@ -292,13 +297,11 @@ def check_soundness(
                 if matched:
                     break
         if not matched:
-            if saw_unknown:
-                undecided.append(render_term(t))
-            else:
-                failures.append(render_term(t))
+            # the source states past the bound may hold a match
+            (undecided if saw_unknown or source.frontier else failures).append(render_term(t))
     if failures:
         status = "fail"
-    elif undecided or frontier:
+    elif undecided or targets.frontier:
         status = "unknown"
     else:
         status = "pass"

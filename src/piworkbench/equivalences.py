@@ -21,7 +21,6 @@ searched breadth-first from the root and rendered only once chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional
 
 from .congruence import normalize
@@ -127,7 +126,7 @@ class Verdict:
 
 class Saturation(NamedTuple):
     """Weak-transition data of one fragment, per state: its tau* closure as
-    (frozenset of indices, closed) and, for an all-labels fragment, its
+    (frozenset of indices, closed) and, for a fragment over a universe, its
     =alpha=> moves as (moves, complete) with move = (Label, target index);
     a tau-only fragment has no visible moves, so `weak_moves` is None."""
 
@@ -137,7 +136,7 @@ class Saturation(NamedTuple):
 
 def saturate(frag: LtsFragment) -> Saturation:
     """Weak-transition data of a fragment: tau* closures, and the composed
-    =alpha=> moves when the fragment holds every label.  Completeness flags
+    =alpha=> moves when the fragment has a universe.  Completeness flags
     record whether any of it was cut off by a frontier."""
     n = len(frag.states)
     closures = []
@@ -152,7 +151,7 @@ def saturate(frag: LtsFragment) -> Saturation:
                     stack.append(t)
         closures.append((frozenset(seen), frag.frontier.isdisjoint(seen)))
     weak = None
-    if frag.label_mode == "all_labels":
+    if frag.universe is not None:
         weak = []
         for i in range(n):
             cl, complete = closures[i]
@@ -568,26 +567,25 @@ class _Engine:
         )
 
 
-def _fragments(kind: RelationKind, p: Process, q: Process, depth: int) -> tuple:
-    """How a check of p against q builds its fragments: a function from a
-    term, or a tuple of roots, to its fragment, over a universe both sides
-    share, and the names input clauses are instantiated with."""
+def _universe(kind: RelationKind, p: Process, q: Process, depth: int) -> tuple:
+    """The universe both fragments of a check of p against q are built
+    over, None for the tau-only fragments of the reduction kinds, and the
+    names input clauses are instantiated with."""
     if kind.reduction_based:
-        return partial(build_fragment, depth=depth, label_mode="tau_only"), ()
+        return None, ()
     shared_free = _free(p) | _free(q)
     extras = universe_fresh_names(names(p) | names(q), max(depth, 1))
-    uni = shared_free | frozenset(extras)
-    build = partial(build_fragment, depth=depth, label_mode="all_labels", universe=uni)
-    return build, tuple(sorted(shared_free | {extras[0]}))
+    return shared_free | frozenset(extras), tuple(sorted(shared_free | {extras[0]}))
 
 
 def _build_engine(kind: RelationKind, pairs: list, depth: int) -> _Engine:
     """The game over a left fragment from the first terms of `pairs` and a
     right one from their second terms; several pairs only for the reduction
     kinds, whose tau-only fragments need no universe."""
-    build, wset = _fragments(kind, *pairs[0], depth)
+    universe, wset = _universe(kind, *pairs[0], depth)
     lefts, rights = zip(*pairs)
-    return _Engine(kind, build(lefts), build(rights), wset)
+    return _Engine(kind, build_fragment(lefts, depth, universe=universe),
+                   build_fragment(rights, depth, universe=universe), wset)
 
 
 def _games(kind: RelationKind, pairs: list, depth: int) -> list:
@@ -636,8 +634,8 @@ def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdi
         if eng is None:
             # the identity relation over the fragment the engine would build is
             # a bisimulation of every kind here, whatever the exploration bound
-            build, _ = _fragments(kind, p, q, depth)
-            rel = tuple((s, s) for s in build(p).states)
+            universe, _ = _universe(kind, p, q, depth)
+            rel = tuple((s, s) for s in build_fragment(p, depth, universe=universe).states)
             return Verdict("related", relation=rel, approximations=approx)
         if status == "not_related":
             return Verdict("not_related", witness=eng.witness(), approximations=approx)

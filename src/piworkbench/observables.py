@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .memo import memo
-from .semantics import caps, tau_exploration
+from .semantics import build_fragment, caps
 from .syntax import Name, Process
 
 IN = "in"
@@ -55,7 +55,5 @@ def weak_barbs(p: Process, depth: int) -> tuple:
     Returns (barbs, exhaustive); the set is the full weak-barb set exactly
     when exhaustive is true (the bounded tau graph closed).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    ex, frontier = tau_exploration(p, depth)
-    return frozenset().union(*map(strong_barbs, ex.states)), not frontier
+    frag = build_fragment(p, depth, universe=None)
+    return frozenset().union(*map(strong_barbs, frag.states)), not frag.frontier

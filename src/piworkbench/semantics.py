@@ -3,10 +3,13 @@
 Transitions are derived structurally (OUTPUT/INPUT-ACT, PAR, COM, CLOSE,
 RES, OPEN and the three replication rules); the reduction relation is the
 tau fragment of the labelled one, which by the Harmony Lemma represents
-reduction up to structural congruence.  Fragments, weak barbs and
-divergence are bounded explorations of these steps by the shared explorer
-(`explore`); a fragment is plain data: states, their moves, frontier and
-the explorer's index.
+reduction up to structural congruence.  `build_fragment` is the one
+builder of bounded transition graphs: over a universe of names it derives
+every move, with none only the tau moves, so weak barbs and every tau-reach
+search read a tau-only fragment.  Divergence grows its own exploration level
+by level.  Both grow an `explore.Exploration`; a fragment is plain
+data: states, their moves and distances, frontier, universe and the
+explorer's index.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import partial
 from typing import Iterable, Optional
 
 from .congruence import normalize, normalize_transient
-from .explore import Exploration, explore
+from .explore import Exploration
 from .memo import memo
 from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
                      Restrict, Success, _free, _union, _without, fresh_names, names,
@@ -178,6 +181,8 @@ def _steps(p: Process, universe: frozenset) -> Optional[tuple]:
 
 
 def default_universe(p: Process, extra: int = 1) -> frozenset:
+    """The free names of `p` and the first `extra` reserved names fresh for
+    it: the universe of a fragment of `p` alone, as `piwb lts` builds it."""
     return frozenset(_free(p)) | frozenset(universe_fresh_names(names(p), extra))
 
 
@@ -185,19 +190,21 @@ def default_universe(p: Process, extra: int = 1) -> frozenset:
 class LtsFragment:
     """Bounded, canonical fragment of the transition system.
 
-    The roots come first, states[0] the first of them, and `out[i]` holds
-    the (label, target index) moves of state i.  States in `frontier` have
-    derivable successors that were not expanded.  `index` maps a state to
-    its number, as the explorer built it.
+    The roots come first, and `out[i]` holds the (label, target index) moves
+    of state i and `dist[i]` its distance from the nearest root.  States in
+    `frontier` have derivable successors that were not expanded.  `universe`
+    holds the names visible moves were derived over, or is None when only
+    tau moves were.  `index` maps a state to its number.  These are the
+    explorer's own lists and dict, handed over without a copy, and no one
+    changes them.
     """
 
-    states: tuple
-    out: tuple
+    states: list
+    out: list
+    dist: list
     frontier: frozenset
-    label_mode: str
+    universe: Optional[frozenset]
     index: dict = field(compare=False, repr=False)
-
-    root = 0
 
     @property
     def transitions(self) -> tuple:
@@ -273,46 +280,28 @@ def _tau_steps(p: Process) -> tuple:
     return tuple((TAU, t) for t in reduce_once(p))
 
 
-def tau_exploration(p: Process, depth: int) -> tuple:
-    """The tau steps of `p` within `depth`, and its frontier."""
-    ex = explore(normalize(p), _tau_steps, depth)
-    return ex, _frontier(ex, tau_only=True)
-
-
-def build_fragment(
-    p,
-    depth: int,
-    label_mode: str = "all_labels",
-    universe_extra: int = 1,
-    universe: Optional[Iterable[Name]] = None,
-) -> LtsFragment:
+def build_fragment(p, depth: int, *, universe: Optional[Iterable[Name]]) -> LtsFragment:
     """Breadth-first bounded exploration over canonical states, from the
     term `p` or, for a tuple of terms, from each of them at distance 0.
-    Visible moves are derived over `universe`, by default the free names
-    of a single root plus `universe_extra` names fresh for them."""
+    Over a `universe` every move is derived, the visible ones with names
+    from it; with None only the tau moves are."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if universe_extra < 1:
-        raise ValueError("universe_extra must be >= 1")
-    if label_mode not in ("all_labels", "tau_only"):
-        raise ValueError(f"unknown label_mode {label_mode!r}")
     roots = tuple(map(normalize, p if isinstance(p, tuple) else (p,)))
-    tau_only = label_mode == "tau_only"
-    if tau_only:
+    if universe is None:
         moves = _tau_steps
     else:
-        if universe is None and len(roots) != 1:
-            raise ValueError("all_labels over several roots needs a universe")
-        uni = default_universe(roots[0], universe_extra) if universe is None else frozenset(universe)
-        moves = partial(_steps, universe=uni)
+        universe = frozenset(universe)
+        moves = partial(_steps, universe=universe)
     ex = Exploration(roots, moves, depth)
     while ex.grow():
         pass
     return LtsFragment(
-        states=tuple(ex.states),
-        out=tuple(map(tuple, ex.out)),
-        frontier=_frontier(ex, tau_only),
-        label_mode=label_mode,
+        states=ex.states,
+        out=ex.out,
+        dist=ex.dist,
+        frontier=_frontier(ex, tau_only=universe is None),
+        universe=universe,
         index=ex.index,
     )
 

@@ -260,19 +260,6 @@ def names(p: Process) -> frozenset:
 
 
 @memo
-def size(p: Process) -> int:
-    """Node count of the term."""
-    match p:
-        case Nil() | Success() | Hole():
-            return 1
-        case Output(_, _, k) | Input(_, _, k) | Restrict(_, k) | Repl(k):
-            return 1 + size(k)
-        case Par(l, r):
-            return 1 + size(l) + size(r)
-    raise TypeError(f"not a process: {p!r}")
-
-
-@memo
 def is_async(p: Process) -> bool:
     """True iff every output subterm has continuation 0."""
     match p:

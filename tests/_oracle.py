@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from piworkbench.congruence import normalize, unfold_once
 from piworkbench.observables import CHAN, IN, OUT, SUCC, strong_barbs
-from piworkbench.syntax import (NIL, OK, Input, Name, Nil, Output, Par,
-                                Process, Repl, Restrict, names, size,
+from piworkbench.syntax import (NIL, OK, Hole, Input, Name, Nil, Output,
+                                Par, Process, Repl, Restrict, Success, names,
                                 substitute)
 
 # --- Def-2 style reduction ------------------------------------------
@@ -155,6 +155,21 @@ def oracle_bisim(kind: str, p: Process, q: Process, repl_unfolds: int = 0, cap: 
                 rel.discard(pair)
                 changed = True
     return (normalize(p), normalize(q)) in rel
+
+
+# --- term size ------------------------------------------------------
+
+
+def size(p: Process) -> int:
+    """Node count of the term."""
+    match p:
+        case Nil() | Success() | Hole():
+            return 1
+        case Output(_, _, k) | Input(_, _, k) | Restrict(_, k) | Repl(k):
+            return 1 + size(k)
+        case Par(l, r):
+            return 1 + size(l) + size(r)
+    raise TypeError(f"not a process: {p!r}")
 
 
 # --- exhaustive enumeration ------------------------------------------

@@ -18,7 +18,7 @@ from piworkbench.equivalences import (AWBB, EWB, SRWRB, WBB, WCB, WOT,
                                       RelationKind, check_bisim)
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.observables import CHAN, IN, OUT, Barb, strong_barbs
-from piworkbench.semantics import build_fragment, diverges, reduce_once
+from piworkbench.semantics import build_fragment, default_universe, diverges, reduce_once
 from piworkbench.syntax import Input, Name, Output, Par, Repl, Restrict
 from piworkbench.text import parse_term, render_term
 
@@ -40,8 +40,8 @@ def _io_barbs(term):
     return {b for b in strong_barbs(term) if b.kind in (IN, OUT)}
 
 
-def _closes(term, depth, label_mode="tau_only"):
-    return not build_fragment(term, depth, label_mode=label_mode).frontier
+def _closes(term, depth):
+    return not build_fragment(term, depth, universe=None).frontier
 
 
 def test_criterion_01_lemma_barbs():
@@ -225,8 +225,7 @@ def test_criterion_10_hierarchy():
              ("ewb", "wbb"), ("wbb", "awbb"), ("wbb", "wcb")]
 
     def label_closes(t):
-        return not build_fragment(t, 10, label_mode="all_labels",
-                                  universe_extra=10).frontier
+        return not build_fragment(t, 10, universe=default_universe(normalize(t), 10)).frontier
 
     corpus = _corpus_where(
         75, lambda t: label_closes(t) and all(

@@ -7,7 +7,8 @@ from piworkbench.cli import export_dot, main
 from piworkbench.correspondence import CRITERIA, LEMMA_IDS
 from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import build_fragment
+from piworkbench.congruence import normalize
+from piworkbench.semantics import build_fragment, default_universe
 from piworkbench.syntax import alpha_eq
 from piworkbench.text import ParseError, parse_term, render_term
 
@@ -54,7 +55,8 @@ def test_parse_rejects_trailing_garbage():
 
 
 def test_dot_export_deterministic_and_complete():
-    frag = build_fragment(encode(Boudol, parse_term("x!z")), 3, "all_labels", 2)
+    root = normalize(encode(Boudol, parse_term("x!z")))
+    frag = build_fragment(root, 3, universe=default_universe(root, 2))
     dot1 = export_dot(frag)
     dot2 = export_dot(frag)
     assert dot1 == dot2
@@ -65,7 +67,7 @@ def test_dot_export_deterministic_and_complete():
 
 
 def test_dot_marks_frontier_dashed():
-    frag = build_fragment(parse_term("!(x!a | x?(y).0)"), 1, "tau_only", 1)
+    frag = build_fragment(parse_term("!(x!a | x?(y).0)"), 1, universe=None)
     assert "dashed" in export_dot(frag)
 
 
@@ -102,6 +104,24 @@ def test_cli_lts_and_dot(term_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "states 2" in out
     assert Path(dot).read_text().startswith("digraph lts {")
+
+
+@pytest.mark.parametrize("labels", ["tau", "all"])
+def test_cli_lts_needs_a_fresh_name(term_file, capsys, labels):
+    # a universe with no fresh name is a usage error, whatever the labels
+    f = term_file("t.pi", "x!z")
+    assert main(["lts", "--depth", "2", "--labels", labels, "--fresh", "0", f]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_cli_lts_universe_is_read_off_the_normal_form(term_file, tmp_path):
+    # the term binds the reserved %w1, which its normal form renames, so
+    # %w1 is still the first fresh name of the universe
+    f = term_file("t.pi", "(nu %w1)x!%w1.%w1?(y).0")
+    dot = tmp_path / "out.dot"
+    assert main(["lts", "--depth", "2", "--allow-reserved", "--dot", str(dot), f]) == 0
+    assert 'label="x!(%w1)"' in dot.read_text()
 
 
 def test_cli_barbs(term_file, capsys):

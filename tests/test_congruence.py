@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from _oracle import enum_terms, oracle_classes, scramble
+from _oracle import enum_terms, oracle_classes, scramble, size
 from piworkbench.congruence import (_canon, _level_names, _normalize, congruent, normalize,
                                     unfold_once)
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.syntax import NIL, Name, _free, size, substitute_all
+from piworkbench.syntax import NIL, Name, _free, substitute_all
 from piworkbench.text import parse_term, render_term
 
 
@@ -105,7 +105,7 @@ def test_normalize_idempotent_on_protocol_states():
                     communication_bias=0.8)
     for t in generate_corpus(cfg, 20):
         for scheme in (Boudol, HondaTokoro):
-            frag = build_fragment(encode(scheme, t), 6, label_mode="tau_only")
+            frag = build_fragment(encode(scheme, t), 6, universe=None)
             for s in frag.states:
                 assert normalize(s) == s, render_term(s)
 

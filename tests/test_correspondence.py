@@ -13,7 +13,7 @@ from piworkbench.correspondence import (_MATCH_DEPTH, PROTOCOL_STEPS, Criterion,
 from piworkbench.encodings import Boudol, HondaTokoro, Op, _encode, encode
 from piworkbench.equivalences import SRWRB, check_bisim
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import diverges, reduce_once, tau_exploration
+from piworkbench.semantics import build_fragment, diverges, reduce_once
 from piworkbench.syntax import Input, Name, Output, Par, Repl, Restrict
 from piworkbench.text import parse_term, render_term
 
@@ -167,6 +167,23 @@ def test_criterion_w_report_invariant_under_renaming():
     assert len(a.details["undecided"]) == len(b.details["undecided"]) == 1
 
 
+@pytest.mark.parametrize("scheme", [Boudol, HondaTokoro])
+def test_soundness_miss_past_the_source_bound_is_undecided(scheme):
+    # ROADMAP item 7, mutant M7: at depth 1 one target's match is a source
+    # state past the source bound, so s, w and g leave that target
+    # undecided; a rule that ignores the source frontier makes it an s
+    # failure.  At depth 2, s and g find the match
+    term = parse_term("c!a.(b?(a).0 | b!a) | c?(c).0")
+    s = check_soundness(Criterion("s"), scheme, term, 1)
+    assert len(s.details["undecided"]) == 1
+    for tag in "swg":
+        rep = check_soundness(Criterion(tag), scheme, term, 1)
+        assert rep.status == "unknown" and not rep.details["failures"], tag
+        assert set(s.details["undecided"]) <= set(rep.details["undecided"]), tag
+    for tag in "sg":
+        assert check_soundness(Criterion(tag), scheme, term, 2).passed, tag
+
+
 def _guardedness(p, guarded=False) -> list:
     """Whether each replication in p sits under a prefix."""
     match p:
@@ -186,9 +203,9 @@ def _w_and_cp_games(scheme, term, depth) -> list:
     report checks, (target, source image), and one over every pair a
     `Criterion("cp", SRWRB)` report checks, (reached state, reduct image)."""
     factor = PROTOCOL_STEPS[scheme]
-    images = [_encode(scheme, s) for s in tau_exploration(term, depth)[0].states]
-    targets = tau_exploration(encode(scheme, term), factor * depth)[0].states
-    reached = tau_exploration(encode(scheme, term), factor)[0].states
+    images = [_encode(scheme, s) for s in build_fragment(term, depth, universe=None).states]
+    targets = build_fragment(encode(scheme, term), factor * depth, universe=None).states
+    reached = build_fragment(encode(scheme, term), factor, universe=None).states
     reducts = [_encode(scheme, s) for s in reduce_once(normalize(term))]
     return [(SRWRB, [(t, img) for t in targets for img in images], depth),
             (SRWRB, [(u, r) for r in reducts for u in reached], _MATCH_DEPTH)]

@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from _oracle import enum_terms, oracle_bisim
+from test_correspondence import _guardedness
+from test_semantics import _labelled
 from piworkbench import equivalences
 from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
@@ -11,7 +14,7 @@ from piworkbench.equivalences import (AWBB, EWB, KINDS, SRWRB, WAB, WBB, WCB,
                                       WOT, RelationKind, audit_relation,
                                       check_bisim, relate, saturate)
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import FreeOutput, build_fragment, tau_exploration
+from piworkbench.semantics import FreeOutput, build_fragment
 from piworkbench.syntax import Name, _free, names, substitute_all
 from piworkbench.text import parse_term, render_term
 
@@ -28,10 +31,10 @@ def test_kind_validation():
 
 
 def test_saturate_trivial_fragment():
-    sat = saturate(build_fragment(parse_term("0"), 3))
+    sat = saturate(_labelled(parse_term("0"), 3))
     assert sat.tau_closure[0] == (frozenset({0}), True)
     assert sat.weak_moves[0] == ((), True)
-    sat = saturate(build_fragment(parse_term("0"), 3, label_mode="tau_only"))
+    sat = saturate(build_fragment(parse_term("0"), 3, universe=None))
     assert sat.tau_closure[0] == (frozenset({0}), True)
     assert sat.weak_moves is None
 
@@ -40,22 +43,20 @@ def test_weak_moves_are_incomplete_when_a_target_closure_is_cut_off():
     # ROADMAP item 7, mutant M6: at depth 1 the tau step after a!b is not
     # explored, so the weak a!b moves of the root are cut off; a mutant that
     # reads only the root's own closure calls them complete
-    sat = saturate(build_fragment(parse_term("a!b.(x!y | x?(z).0)"), 1))
+    sat = saturate(_labelled(parse_term("a!b.(x!y | x?(z).0)"), 1))
     assert sat.weak_moves[0][1] is False
 
 
 def test_saturate_weak_edge_through_tau():
     # a --tau--> . --x!z--> . gives a weak x!z move from the root
     p = parse_term("y!a | y?(q).x!z")
-    frag = build_fragment(p, 4)
-    moves, complete = saturate(frag).weak_moves[frag.root]
+    moves, complete = saturate(_labelled(p, 4)).weak_moves[0]
     assert complete
     assert any(lab == FreeOutput(x, z) for lab, _ in moves)
 
 
 def test_saturate_boudol_weak_bound_output():
-    frag = build_fragment(encode(Boudol, XZ), 4, universe_extra=3)
-    moves, _ = saturate(frag).weak_moves[frag.root]
+    moves, _ = saturate(_labelled(encode(Boudol, XZ), 4, 3)).weak_moves[0]
     assert any(type(lab).__name__ == "BoundOutput" and lab.chan == x for lab, _ in moves)
 
 
@@ -454,8 +455,8 @@ def test_label_kinds_relate_each_pair_alone(monkeypatch):
     decided = 0
     for term in generate_corpus(cfg, 20):
         for scheme in (Boudol, HondaTokoro):
-            pairs = [(u, v) for u in tau_exploration(term, 1)[0].states
-                     for v in tau_exploration(encode(scheme, term), 2)[0].states]
+            pairs = [(u, v) for u in build_fragment(term, 1, universe=None).states
+                     for v in build_fragment(encode(scheme, term), 2, universe=None).states]
             for kind in (EWB, WOT, WAB, WBB):
                 sizes.clear()
                 statuses = relate(kind, pairs, 3)
@@ -533,10 +534,17 @@ def _spelled_apart(term):
 
 def test_verdicts_do_not_depend_on_how_free_names_are_spelled():
     # ROADMAP item 6: an injective renaming of the free names keeps every
-    # status, for every kind and against both images
-    cfg = GenConfig(seed=5, max_size=8, communication_bias=0.7, allow_replication=False)
-    compared = 0
-    for term in generate_corpus(cfg, 30):
+    # status, for every kind and against both images, over replication-free
+    # terms and over replicated ones whose every replication is under a
+    # prefix (on a top-level one, checks run far longer: ROADMAP item 5)
+    plain = generate_corpus(GenConfig(seed=5, max_size=8, communication_bias=0.7,
+                                      allow_replication=False), 30)
+    replicated = [t for t in generate_corpus(GenConfig(seed=5, max_size=10,
+                                                       communication_bias=0.7), 400)
+                  if _guardedness(t) and all(_guardedness(t))]
+    assert len(replicated) == 36
+    statuses = Counter()
+    for term in [*plain, *replicated]:
         renamed = _spelled_apart(term)
         for scheme in (Boudol, HondaTokoro):
             for k in KINDS:
@@ -544,5 +552,6 @@ def test_verdicts_do_not_depend_on_how_free_names_are_spelled():
                 want = check_bisim(kind, term, encode(scheme, term), 4).status
                 got = check_bisim(kind, renamed, encode(scheme, renamed), 4).status
                 assert got == want, (k, scheme.tag, render_term(term), render_term(renamed))
-                compared += 1
-    assert compared == 30 * 2 * len(KINDS)
+                statuses[want, term in replicated] += 1
+    assert sum(statuses.values()) == (30 + 36) * 2 * len(KINDS)
+    assert all(statuses[status, True] for status in ("related", "not_related", "unknown"))

@@ -20,7 +20,7 @@ from piworkbench.semantics import (BoundOutput, Diverges, FreeOutput,
                                    _tau_steps, _temp_bound_name,
                                    build_fragment, caps, default_universe,
                                    diverges, has_moves, reduce_once,
-                                   tau_divergent, tau_exploration)
+                                   tau_divergent)
 from piworkbench.syntax import Repl, _free
 from piworkbench.text import parse_term
 
@@ -135,18 +135,20 @@ def test_fragment_frontier_equals_old_probe(label_mode, depth):
         for _, uni in _universes(root):
             moves = _moves(uni, tau_only)
             ex = explore(root, moves, depth)
-            frag = build_fragment(p, depth, label_mode=label_mode, universe=uni)
-            assert frag.states == tuple(ex.states)
+            frag = build_fragment(p, depth, universe=None if tau_only else uni)
+            assert frag.states == ex.states
             assert frag.frontier == _old_frontier(ex, moves), p
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
-def test_tau_exploration_and_diverges_equal_old_probe(depth):
+def test_tau_only_fragment_and_diverges_equal_old_probe(depth):
     yes = set()
     for scheme, terms in (("corpus", CORPUS), *REPLICATED.items()):
         for p in terms:
-            ex, frontier = tau_exploration(p, depth)
-            assert frontier == _old_frontier(ex, _tau_steps), p
+            ex = explore(normalize(p), _tau_steps, depth)
+            frag = build_fragment(p, depth, universe=None)
+            assert frag.states == ex.states and frag.dist == ex.dist, p
+            assert frag.frontier == _old_frontier(ex, _tau_steps), p
             d = diverges(p, depth)
             assert d == _old_diverges(p, depth), p
             if d.status == "yes":
@@ -168,7 +170,8 @@ def _old_divergent(frag) -> frozenset:
 def test_tau_divergent_equals_closure_scan(label_mode):
     diverging = 0
     for p in CORPUS + [t for terms in REPLICATED.values() for t in terms]:
-        frag = build_fragment(p, 3, label_mode=label_mode)
+        uni = None if label_mode == "tau_only" else default_universe(normalize(p))
+        frag = build_fragment(p, 3, universe=uni)
         got = tau_divergent(frag)
         assert got == _old_divergent(frag), p
         diverging += bool(got)

@@ -4,11 +4,12 @@ from unittest import mock
 
 import pytest
 
+from _oracle import size
 from piworkbench import harness
 from piworkbench.equivalences import RelationKind
 from piworkbench.harness import (CheckSpec, GenConfig, Limits, generate_corpus,
                                  run_suite)
-from piworkbench.syntax import Input, Output, Par, Repl, is_async, names, size
+from piworkbench.syntax import Input, Output, Par, Repl, is_async, names
 from piworkbench.text import parse_term, render_term
 
 

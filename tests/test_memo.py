@@ -39,7 +39,8 @@ def _memo_functions() -> list:
 def test_clear_empties_every_table():
     p = parse_term("!(nu a)(a!b | a?(c).c!x) | x?(y).y!x")
     congruence.congruent(p, encode(Boudol, p), 1)
-    build_fragment(encode(Boudol, p), 3)
+    root = congruence.normalize(encode(Boudol, p))
+    build_fragment(root, 3, universe=default_universe(root))
     fns = _memo_functions()
     assert len(fns) >= 14
     assert {id(fn) for fn in fns} <= {id(table) for table in memo._TABLES}
@@ -113,9 +114,8 @@ def _probes(frag, term):
     `reduce_once` was asked about, and each fragment state with the name
     its labelled moves were derived with."""
     yield term, _temp_bound_name(term)
-    uni = default_universe(frag.states[0])
     for s in frag.states:
-        yield s, _fresh_representative(s, uni) or _temp_bound_name(s)
+        yield s, _fresh_representative(s, frag.universe) or _temp_bound_name(s)
 
 
 def test_fresh_targets_are_not_retained():
@@ -127,7 +127,8 @@ def test_fresh_targets_are_not_retained():
     frags, reducts = [], []
     for p in terms:
         reducts.append(reduce_once(p))
-        frags.append(build_fragment(p, FRAGMENT_DEPTH))
+        frags.append(build_fragment(p, FRAGMENT_DEPTH,
+                                    universe=default_universe(congruence.normalize(p))))
     # only the roots were normalized through the table
     assert congruence._normalize.cache_info().currsize == len(set(terms))
 

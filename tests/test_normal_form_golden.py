@@ -21,7 +21,7 @@ from pathlib import Path
 from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import build_fragment
+from piworkbench.semantics import build_fragment, default_universe
 from piworkbench.syntax import NIL, Input, Nil, Output, Par, Repl, Restrict, Success
 from piworkbench.text import parse_term, render_term
 
@@ -84,7 +84,7 @@ def _records() -> list:
     for n, term in enumerate(generate_corpus(CORPUS, CORPUS_SIZE)):
         for tag, scheme in SCHEMES:
             p = term if scheme is None else encode(scheme, term)
-            frag = build_fragment(p, DEPTH)
+            frag = build_fragment(p, DEPTH, universe=default_universe(normalize(p)))
             out.append({
                 "case": f"corpus{n}/{tag}",
                 "term": render_term(p),

@@ -82,15 +82,21 @@ def test_reduce_once_empty():
     assert reduce_once(parse_term("0")) == ()
 
 
+def _labelled(p, depth, extra=1):
+    """The fragment of `p` over the free names of its normal form and
+    `extra` fresh names."""
+    return build_fragment(p, depth, universe=default_universe(normalize(p), extra))
+
+
 def test_fragment_single_edge():
-    frag = build_fragment(parse_term("x!z"), 1, "all_labels", 1)
+    frag = _labelled(parse_term("x!z"), 1)
     assert len(frag.states) == 2
     assert len(frag.transitions) == 1
     assert not frag.frontier
 
 
 def test_fragment_boudol_chain():
-    frag = build_fragment(encode(Boudol, parse_term("x!z")), 3, "all_labels", 2)
+    frag = _labelled(encode(Boudol, parse_term("x!z")), 3, 2)
     assert len(frag.states) == 4
     assert len(frag.transitions) == 3
     assert not frag.frontier
@@ -99,7 +105,7 @@ def test_fragment_boudol_chain():
 
 
 def test_fragment_trivial():
-    frag = build_fragment(parse_term("0"), 5, "all_labels", 1)
+    frag = _labelled(parse_term("0"), 5)
     assert len(frag.states) == 1
     assert not frag.transitions
     assert not frag.frontier
@@ -107,23 +113,25 @@ def test_fragment_trivial():
 
 def test_fragment_frontier_marks_horizon():
     p = parse_term("x!a | x?(y).(x!a | x?(q).x!b)")
-    frag = build_fragment(p, 1, "tau_only", 1)
+    frag = build_fragment(p, 1, universe=None)
     assert frag.frontier
 
 
 def test_fragment_from_several_roots():
     # a one-root tuple builds the one-root fragment; several roots start at
-    # distance 0, and an all-labels fragment over them needs a universe
+    # distance 0, and every caller states its universe
     p, q = parse_term("x!a | x?(y).y!b"), encode(Boudol, parse_term("x!z"))
-    for mode in ("all_labels", "tau_only"):
-        assert build_fragment((p,), 2, mode) == build_fragment(p, 2, mode)
-    both = build_fragment((p, q), 2, "tau_only")
-    assert both.states[:2] == (normalize(p), normalize(q))
-    assert set(build_fragment(q, 2, "tau_only").states) <= set(both.states)
-    with pytest.raises(ValueError):
-        build_fragment((p, q), 2, "all_labels")
-    uni = default_universe(p) | default_universe(q)
-    assert build_fragment((p, q), 2, "all_labels", universe=uni).states[:2] == both.states[:2]
+    uni = default_universe(normalize(p)) | default_universe(normalize(q))
+    for universe in (uni, None):
+        assert build_fragment((p,), 2, universe=universe) == build_fragment(p, 2, universe=universe)
+    both = build_fragment((p, q), 2, universe=None)
+    assert both.states[:2] == [normalize(p), normalize(q)]
+    assert both.dist[:2] == [0, 0] and both.universe is None
+    assert set(build_fragment(q, 2, universe=None).states) <= set(both.states)
+    labelled = build_fragment((p, q), 2, universe=uni)
+    assert labelled.states[:2] == both.states[:2] and labelled.universe == uni
+    with pytest.raises(TypeError):
+        build_fragment(p, 2)
 
 
 def test_diverges_nil():
@@ -219,7 +227,7 @@ def test_tau_steps_are_derived_once_by_reduce_once(monkeypatch):
     # tau-only fragments, divergence and weak barbs all read the tau steps
     # that reduce_once cached; none of them derives them again
     p = parse_term("!(x!a | x?(y).y!b) | x?(z).z!c | b?(v).0")
-    first = build_fragment(p, 4, label_mode="tau_only")
+    first = build_fragment(p, 4, universe=None)
     assert first.transitions == tuple(
         (i, a, j) for i, moves in enumerate(first.out) for a, j in moves)
     calls = []
@@ -230,7 +238,7 @@ def test_tau_steps_are_derived_once_by_reduce_once(monkeypatch):
         return steps(*args, **kwargs)
 
     monkeypatch.setattr(semantics, "_steps", spy)
-    assert build_fragment(p, 4, label_mode="tau_only") == first
+    assert build_fragment(p, 4, universe=None) == first
     assert diverges(p, 4).status == "unknown"
     barbs, exhaustive = weak_barbs(p, 4)
     assert barbs and not exhaustive

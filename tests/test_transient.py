@@ -79,10 +79,10 @@ def _golden_targets():
     for term in generate_corpus(CORPUS, CORPUS_SIZE):
         for _, scheme in SCHEMES:
             p = term if scheme is None else encode(scheme, term)
-            frag = build_fragment(p, DEPTH)
-            uni = default_universe(frag.states[0])
+            frag = build_fragment(p, DEPTH, universe=default_universe(normalize(p)))
             for s in frag.states:
-                for w in dict.fromkeys((_fresh_representative(s, uni) or _temp_bound_name(s),
+                for w in dict.fromkeys((_fresh_representative(s, frag.universe)
+                                        or _temp_bound_name(s),
                                         _temp_bound_name(s))):
                     for _, t in _raw_transitions(s, w):
                         yield s, t
@@ -146,7 +146,7 @@ def _read(terms) -> int:
 
 def test_state_spines_get_no_table_entries():
     anchor = parse_term("!(nu a)(a?(c).(nu b)(b!a | b?(a).0) | a!b.a!a.c?(b).a!a)")
-    frag = build_fragment(encode(Boudol, anchor), 2, label_mode="tau_only")
+    frag = build_fragment(encode(Boudol, anchor), 2, universe=None)
     state = next(s for s in frag.states if all(len(part) >= 3 for part in level(s)))
     _, comps = level(state)
     # the state's one `strong_barbs` entry against one per component
