@@ -15,16 +15,17 @@ at `_FAIL` is `not_related`, at `_TAINT` `unknown`, at `_OK` `related`.
 `relate` plays the root pairs of a reduction kind in one game over shared
 fragments; `check_bisim` is its one-pair case.  The relation of a `related`
 verdict holds the `_OK` pairs reachable from the root pair.  A witness is
-searched breadth-first from the root and rendered only once chosen.
+the lowest blame met a product distance at a time, its path read off the
+two fragments' BFS trees, and is rendered only once chosen.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .congruence import normalize
-from .explore import Exploration
 from .memo import paused_gc
 from .observables import CHAN, IN, OUT, SUCC, strong_barbs
 from .semantics import (TAU, BoundOutput, FreeOutput, InputLab, LtsFragment,
@@ -173,7 +174,6 @@ def saturate(frag: LtsFragment) -> Saturation:
 # A clause's value: definitely unmatched, cut off by the bound, matched.
 _FAIL, _TAINT, _OK = 0, 1, 2
 _VERDICT = ("not_related", "unknown", "related")  # by a root pair's value
-_OTHER = {"left": "right", "right": "left"}
 
 _CATEGORY_RANK = {c: rank for rank, c in enumerate(
     ("input-move", "output-move", "barb", "divergence", "tau-move"))}
@@ -240,56 +240,68 @@ def _named_pairs(clauses, out: set) -> set:
     return out
 
 
-def _divergence_status(frag: LtsFragment, sat: Saturation) -> list:
-    divergent = tau_divergent(frag)
-    return ["yes" if i in divergent else "no" if closed else "unknown"
-            for i, (_, closed) in enumerate(sat.tau_closure)]
+class _Side(NamedTuple):
+    """One fragment of a game and what its obligations read: its saturation,
+    the one blame of its tau moves, each state's observed strong and weak
+    barbs, the weak ones as (barbs, closed), for the reduction kinds, and
+    each state's divergence status for the divergence-preserving kinds."""
+
+    name: str  # "left" | "right"
+    frag: LtsFragment
+    sat: Saturation
+    tau_blame: Blame
+    obs: Optional[list]
+    weak_obs: Optional[list]
+    div: Optional[list]
+
+
+def _side(name: str, frag: LtsFragment, kind: RelationKind) -> _Side:
+    """The side `name` of a game of `kind` over `frag`."""
+    sat = saturate(frag)
+    obs = weak_obs = div = None
+    if kind.reduction_based:
+        observed = _OBSERVED[kind.kind]
+        obs = [frozenset(b for b in strong_barbs(t) if b.kind in observed) for t in frag.states]
+        weak_obs = [(frozenset().union(*(obs[j] for j in cl)), closed)
+                    for cl, closed in sat.tau_closure]
+    if kind.divergence_preserving:
+        divergent = tau_divergent(frag)
+        div = ["yes" if i in divergent else "no" if closed else "unknown"
+               for i, (_, closed) in enumerate(sat.tau_closure)]
+    return _Side(name, frag, sat, Blame(name, "tau-move", TAU), obs, weak_obs, div)
+
+
+def _tree_path(side: str, frag: LtsFragment, k: int) -> list:
+    """The steps of `side` from the root to state k along the BFS tree of
+    its fragment, where a state is entered by the first move into it."""
+    steps = []
+    while frag.dist[k]:
+        k, a = next((i, a) for i in range(k) for a, t in frag.out[i] if t == k)
+        steps.append(WitnessStep(side, render_label(a)))
+    return steps[::-1]
 
 
 class _Engine:
     """The bisimulation game of one check, explored on the fly.
 
-    Both fragments are built and saturated up front.  Obligations, each a
-    (clause, blame) pair, are built only for the pairs a check asks about
-    and for the pairs reachable from them through the pairs clauses name,
-    their closure.  `refine` gives each explored pair, in `status`, the
-    greatest fixpoint of "a pair is worth its worst clause".  A pair's
-    value reads only the pairs its clauses name, so refining every explored
-    pair, a set closed under naming, gives each the value and blames that
-    refining every pair would give: verdicts and witnesses do not depend on
-    how much of the game was explored.
+    Each fragment is one side of the game, a `_Side` made with the game.
+    Obligations, each a (clause, blame) pair, are built only for the pairs
+    a check asks about and for the pairs reachable from them through the
+    pairs clauses name, their closure.  `refine` gives each explored pair,
+    in `status`, the greatest fixpoint of "a pair is worth its worst
+    clause".  A pair's value reads only the pairs its clauses name, so
+    refining every explored pair, a set closed under naming, gives each the
+    value and blames that refining every pair would give: verdicts and
+    witnesses do not depend on how much of the game was explored.
 
     A game keeps one copy of each pair: every pair is made by `pair`, so
     `table`, `status`, `blames`, the roots and each clause that names the
     pair share one tuple, and every tau move of a side shares one blame."""
 
-    tau_blame = {side: Blame(side, "tau-move", TAU) for side in ("left", "right")}
-
     def __init__(self, kind: RelationKind, fa: LtsFragment, fb: LtsFragment, wset: tuple):
-        self.kind = kind
-        self.fa = fa
-        self.fb = fb
-        self.wset = wset
-        self.sides = {"left": (fa, fb), "right": (fb, fa)}
-        self.sat = {"left": saturate(fa), "right": saturate(fb)}
-        if kind.reduction_based:
-            obs_kinds = _OBSERVED[kind.kind]
-            self.obs = {
-                s: [
-                    frozenset(b for b in strong_barbs(t) if b.kind in obs_kinds)
-                    for t in frag.states
-                ]
-                for s, (frag, _) in self.sides.items()
-            }
-            self.weak_obs = {
-                s: [(frozenset().union(*(self.obs[s][j] for j in cl)), closed)
-                    for cl, closed in self.sat[s].tau_closure]
-                for s in self.sides
-            }
-        if kind.divergence_preserving:
-            self.div = {
-                s: _divergence_status(frag, self.sat[s]) for s, (frag, _) in self.sides.items()
-            }
+        self.kind, self.wset = kind, wset
+        self.fa, self.fb = fa, fb
+        self.left, self.right = _side("left", fa, kind), _side("right", fb, kind)
         self.pairs = {}  # pair -> its one tuple in this game
         self.table = {}  # explored pair -> its obligations
         self.status = {}  # explored pair -> its value, in sorted pair order
@@ -297,125 +309,120 @@ class _Engine:
 
     def obligations(self, pair: tuple) -> tuple:
         i, j = pair
-        return self._pair_obligations("left", i, j) + self._pair_obligations("right", j, i)
+        left, right = self.left, self.right
+        return self._pair_obligations(left, right, i, j) + self._pair_obligations(right, left, j, i)
 
     def pair(self, i: int, j: int) -> tuple:
         """The one tuple of the pair (i, j) in this game, which the tables,
         the roots and every clause that names the pair share."""
-        return self._key("left", i, j)
+        return self._key(self.left, i, j)
 
-    def _key(self, side: str, x2: int, y2: int) -> tuple:
-        pair = (x2, y2) if side == "left" else (y2, x2)
+    def _key(self, me: _Side, x2: int, y2: int) -> tuple:
+        pair = (x2, y2) if me is self.left else (y2, x2)
         return self.pairs.setdefault(pair, pair)
 
-    def _pair_obligations(self, side: str, x: int, y: int) -> tuple:
-        fx, fy = self.sides[side]
+    def _pair_obligations(self, me: _Side, you: _Side, x: int, y: int) -> tuple:
         obs = []
-        if self.kind.divergence_preserving and side == "left":
-            dx, dy = self.div["left"][x], self.div["right"][y]
+        if self.kind.divergence_preserving and me is self.left:
+            dx, dy = me.div[x], you.div[y]
             if "unknown" in (dx, dy):
                 obs.append((_TAINT, None))
             elif dx != dy:
-                obs.append((_FAIL, Blame(side, "divergence", (dx, dy))))
-        if x in fx.frontier:
+                obs.append((_FAIL, Blame(me.name, "divergence", (dx, dy))))
+        if x in me.frag.frontier:
             obs.append((_TAINT, None))
         if self.kind.reduction_based:
-            obs.extend(self._barb_obligations(side, x, y))
-            obs.extend(self._tau_obligations(side, x, y, fx, fy))
+            obs.extend(self._barb_obligations(me, you, x, y))
+            obs.extend(self._tau_obligations(me, you, x, y))
         else:
-            obs.extend(self._tau_obligations(side, x, y, fx, fy))
-            obs.extend(self._label_obligations(side, x, y, fx, fy))
+            obs.extend(self._tau_obligations(me, you, x, y))
+            obs.extend(self._label_obligations(me, you, x, y))
         return tuple(obs)
 
-    def _barb_obligations(self, side: str, x: int, y: int):
-        found, closed = self.weak_obs[_OTHER[side]][y]
-        for b in sorted(self.obs[side][x]):
+    def _barb_obligations(self, me: _Side, you: _Side, x: int, y: int):
+        found, closed = you.weak_obs[y]
+        for b in sorted(me.obs[x]):
             if b in found:
                 continue
-            yield (_FAIL if closed else _TAINT, Blame(side, "barb", b))
+            yield (_FAIL if closed else _TAINT, Blame(me.name, "barb", b))
 
-    def _tau_obligations(self, side: str, x: int, y: int, fx: LtsFragment, fy: LtsFragment):
-        cly, closedy = self.sat[_OTHER[side]].tau_closure[y]
-        for a, x2 in fx.out[x]:
+    def _tau_obligations(self, me: _Side, you: _Side, x: int, y: int):
+        cly, closedy = you.sat.tau_closure[y]
+        for a, x2 in me.frag.out[x]:
             if not isinstance(a, Tau):
                 continue
             if self.kind.branching:
-                parts = [self._key(side, x2, y)]
+                parts = [self._key(me, x2, y)]
                 for y1 in sorted(cly):
-                    for b, y2 in fy.out[y1]:
+                    for b, y2 in you.frag.out[y1]:
                         if isinstance(b, Tau):
-                            parts.append(_All((self._key(side, x, y1), self._key(side, x2, y2))))
+                            parts.append(_All((self._key(me, x, y1), self._key(me, x2, y2))))
             else:
-                parts = [self._key(side, x2, y2) for y2 in sorted(cly)]
-            yield (_exists(parts, closedy), self.tau_blame[side])
+                parts = [self._key(me, x2, y2) for y2 in sorted(cly)]
+            yield (_exists(parts, closedy), me.tau_blame)
 
-    def _near_miss(self, side: str, y: int, chan) -> tuple:
-        moves, _ = self.sat[side].weak_moves[y]
-        return tuple(sorted({render_label(a) for a, _ in moves if getattr(a, "chan", None) == chan}))
-
-    def _label_obligations(self, side: str, x: int, y: int, fx: LtsFragment, fy: LtsFragment):
-        sy = self.sat[_OTHER[side]]
-        ymoves, ycomplete = sy.weak_moves[y]
-        for a, x2 in fx.out[x]:
+    def _label_obligations(self, me: _Side, you: _Side, x: int, y: int):
+        ymoves, ycomplete = you.sat.weak_moves[y]
+        for a, x2 in me.frag.out[x]:
             if isinstance(a, Tau):
                 continue
             if isinstance(a, FreeOutput):
-                parts = [self._key(side, x2, y2) for b, y2 in ymoves if b == a]
-                yield (_exists(parts, ycomplete), Blame(side, "output-move", a, y))
+                parts = [self._key(me, x2, y2) for b, y2 in ymoves if b == a]
+                yield (_exists(parts, ycomplete), Blame(me.name, "output-move", a, y))
             elif isinstance(a, BoundOutput):
                 parts = []
                 for b, y2 in ymoves:
                     if not isinstance(b, BoundOutput) or b.chan != a.chan:
                         continue
-                    parts.append(self._aligned_entry(side, fx, fy, x2, y2, b.datum, a.datum))
-                yield (_exists(parts, ycomplete), Blame(side, "output-move", a, y))
+                    parts.append(self._aligned_entry(me, you, x2, y2, b.datum, a.datum))
+                yield (_exists(parts, ycomplete), Blame(me.name, "output-move", a, y))
             elif isinstance(a, InputLab) and self.kind.kind == "ewb":
-                yield (self._input_clause(side, x2, a, fx, fy, ymoves, ycomplete),
-                       Blame(side, "input-move", a, y))
+                yield (self._input_clause(me, you, x2, y, a), Blame(me.name, "input-move", a, y))
         if self.kind.kind == "wab":
-            xmoves, xcomplete = self.sat[side].weak_moves[x]
+            xmoves, xcomplete = me.sat.weak_moves[x]
             if not xcomplete:
                 yield (_TAINT, None)
             for a, x2 in xmoves:
                 if not isinstance(a, InputLab):
                     continue
-                branch_a = self._input_clause(side, x2, a, fx, fy, ymoves, ycomplete)
-                cly, closedy = sy.tau_closure[y]
+                branch_a = self._input_clause(me, you, x2, y, a)
+                cly, closedy = you.sat.tau_closure[y]
                 parts = []
                 for y2 in sorted(cly):
-                    buffered = normalize(Par(fy.states[y2], Output(a.chan, a.datum, NIL)))
-                    parts.append(self._resolve(side, fx, fy, x2, buffered))
+                    buffered = normalize(Par(you.frag.states[y2], Output(a.chan, a.datum, NIL)))
+                    parts.append(self._resolve(me, you, x2, buffered))
                 branch_b = _exists(parts, closedy)
-                yield (_Any((branch_a, branch_b)), Blame(side, "input-move", a, y))
+                yield (_Any((branch_a, branch_b)), Blame(me.name, "input-move", a, y))
 
-    def _aligned_entry(self, side, fx, fy, x2, y2, have, want):
+    def _aligned_entry(self, me: _Side, you: _Side, x2: int, y2: int, have, want):
         if have == want:
-            return self._key(side, x2, y2)
-        aligned = normalize(substitute(fy.states[y2], have, want))
-        return self._resolve(side, fx, fy, x2, aligned)
+            return self._key(me, x2, y2)
+        aligned = normalize(substitute(you.frag.states[y2], have, want))
+        return self._resolve(me, you, x2, aligned)
 
-    def _resolve(self, side, fx, fy, x2, term: Process):
-        j2 = fy.index.get(term)
+    def _resolve(self, me: _Side, you: _Side, x2: int, term: Process):
+        j2 = you.frag.index.get(term)
         if j2 is not None:
-            return self._key(side, x2, j2)
-        return _OK if fx.states[x2] == term else _TAINT
+            return self._key(me, x2, j2)
+        return _OK if me.frag.states[x2] == term else _TAINT
 
-    def _input_clause(self, side, x2, a, fx, fy, ymoves, ycomplete) -> _All:
+    def _input_clause(self, me: _Side, you: _Side, x2: int, y: int, a: InputLab) -> _All:
+        ymoves, ycomplete = you.sat.weak_moves[y]
         matches = [(b, y2) for b, y2 in ymoves if isinstance(b, InputLab) and b.chan == a.chan]
         subs = []
         for w in self.wset:
             parts = []
             if matches:
-                u1 = normalize(substitute(fx.states[x2], a.datum, w))
-                i2 = fx.index.get(u1)
+                u1 = normalize(substitute(me.frag.states[x2], a.datum, w))
+                i2 = me.frag.index.get(u1)
             for b, y2 in matches:
-                u2 = normalize(substitute(fy.states[y2], b.datum, w))
+                u2 = normalize(substitute(you.frag.states[y2], b.datum, w))
                 if u1 == u2:
                     parts.append(_OK)
                     continue
-                j2 = fy.index.get(u2)
+                j2 = you.frag.index.get(u2)
                 if i2 is not None and j2 is not None:
-                    parts.append(self._key(side, i2, j2))
+                    parts.append(self._key(me, i2, j2))
                 else:
                     parts.append(_TAINT)
             subs.append(_exists(parts, ycomplete))
@@ -424,7 +431,8 @@ class _Engine:
     def _render(self, blame: Blame) -> tuple:
         """The (label, detail, near-miss labels) of a blame."""
         side, category, subject, y = blame
-        other = _OTHER[side]
+        you = self.left if side == "right" else self.right
+        other = you.name
         if category == "divergence":
             dx, dy = subject
             return dx, f"left diverges={dx} but right diverges={dy}", ()
@@ -433,7 +441,9 @@ class _Engine:
         if category == "tau-move":
             return "tau", f"a tau step on the {side} cannot be matched weakly", ()
         label = render_label(subject)
-        near_miss = self._near_miss(other, y, subject.chan)
+        moves, _ = you.sat.weak_moves[y]
+        near_miss = tuple(sorted({render_label(b) for b, _ in moves
+                                  if getattr(b, "chan", None) == subject.chan}))
         if category == "output-move":
             how = "free" if isinstance(subject, FreeOutput) else "bound"
             detail = f"{side} performs {how} output {label} with no weak match on the {other}"
@@ -515,50 +525,37 @@ class _Engine:
                      for clause, blame in self.table[pair] if _value(clause, status) == _FAIL)
 
     def witness(self) -> Witness:
-        """Counterexample once the root pair fell to `_FAIL` (so level 0
+        """Counterexample once the root pair fell to `_FAIL` (so distance 0
         already holds a blame).
 
         Of all blames of `_FAIL` pairs, the one with the lowest (category
         rank, BFS distance in the product of the fragments, pair, index)
-        wins.  The product is walked level by level, settling each level's
-        pairs, and the walk stops after the first level that holds a blame
-        of the lowest category the kind can produce."""
+        wins; pairs are settled a distance at a time, up to the first that
+        holds a blame of the lowest category the kind can produce.  A product
+        move moves one side, left moves listed first, so the distance of
+        (i, j) is the sum of its sides' distances and its BFS path is the
+        left fragment's BFS-tree path to i, then the right one's to j.
+        States are numbered in BFS order, so bisecting each side's `dist`
+        list finds a distance's pairs."""
         floor = _CATEGORY_RANK[_LOWEST_CATEGORY.get(self.kind.kind, "barb")]
-
-        def moves(pair):
-            i, j = pair
-            return [(("left", a), self.pair(i2, j)) for a, i2 in self.fa.out[i]] + [
-                (("right", b), self.pair(i, j2)) for b, j2 in self.fb.out[j]
-            ]
-
-        walk = Exploration((self.pair(0, 0),), moves, len(self.fa.states) * len(self.fb.states))
+        da, db = self.fa.dist, self.fb.dist
         best = None
-        level = range(1)
-        while level:
-            self.settle([walk.states[k] for k in level])
-            for k in level:
-                pair = walk.states[k]
+        for d in range(da[-1] + db[-1] + 1):
+            level = [self.pair(i, j) for i in range(bisect_right(da, d))
+                     for j in range(bisect_left(db, d - da[i]), bisect_right(db, d - da[i]))]
+            self.settle(level)
+            for pair in level:
                 for idx, blame in enumerate(self.blames.get(pair, ())):
-                    rank = (_CATEGORY_RANK[blame.category], walk.dist[k], pair, idx)
+                    rank = (_CATEGORY_RANK[blame.category], d, pair, idx)
                     if best is None or rank < best[0]:
-                        best = (rank, k, blame)
+                        best = (rank, blame)
             if best[0][0] == floor:
                 break
-            n = len(walk.states)
-            walk.grow()
-            level = range(n, len(walk.states))
-        _, k, blame = best
-        pair = walk.states[k]
-        steps = []
-        while k:
-            # the first move into k, in expansion order, is the one that reached it
-            k, (side, a) = next((i, lab) for i in range(k) for lab, t in walk.out[i] if t == k)
-            steps.append(WitnessStep(side, render_label(a)))
-        steps.reverse()
+        (_, _, (i, j), _), blame = best
         label, detail, near_miss = self._render(blame)
         return Witness(
-            steps=tuple(steps),
-            pair=(render_term(self.fa.states[pair[0]]), render_term(self.fb.states[pair[1]])),
+            steps=tuple(_tree_path("left", self.fa, i) + _tree_path("right", self.fb, j)),
+            pair=(render_term(self.fa.states[i]), render_term(self.fb.states[j])),
             side=blame.side,
             category=blame.category,
             label=label,

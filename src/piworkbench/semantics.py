@@ -148,8 +148,9 @@ def _sync(a: Label, t: Process, b: Label, u: Process, w: Name, swap: bool = Fals
         yield (TAU, Restrict(w, pair(t, u)))
 
 
-def _temp_bound_name(p: Process) -> Name:
-    return next(fresh_names("t{}'", names(p)))
+# The bound name of moves derived with no universe name fresh for the state:
+# one the parser cannot spell, and which no state holds (see `_steps`).
+_PLACEHOLDER = Name("t#", reserved=True)
 
 
 def universe_fresh_names(avoid, count: int) -> tuple:
@@ -170,10 +171,11 @@ def _steps(p: Process, universe: frozenset) -> Optional[tuple]:
     """Canonical moves of `p`, sorted; None when `p` has a visible move but
     the universe has no name left that is fresh for it.  Moves are derived
     with the universe's fresh representative as their bound name or, when
-    it has none, with a temporary name, which only tau targets hold, bound."""
+    it has none, with `_PLACEHOLDER`: tau targets bind it (CLOSE) or
+    substitute it away (COM), and a visible move would hold it free."""
     rep = _fresh_representative(p, universe)
     out = set()
-    for a, t in _raw_transitions(p, rep or _temp_bound_name(p)):
+    for a, t in _raw_transitions(p, rep or _PLACEHOLDER):
         if rep is None and not isinstance(a, Tau):
             return None
         out.add((a, normalize_transient(t)))
@@ -270,7 +272,7 @@ def _frontier(ex: Exploration, tau_only: bool) -> frozenset:
 def reduce_once(p: Process) -> tuple:
     """Canonical tau-successors, sorted: by the Harmony Lemma, the one-step
     reducts up to structural congruence.  The only cache of tau steps."""
-    raw = _raw_transitions(p, _temp_bound_name(p))
+    raw = _raw_transitions(p, _PLACEHOLDER)
     return tuple(sorted({normalize_transient(t) for a, t in raw if isinstance(a, Tau)},
                         key=render_term))
 

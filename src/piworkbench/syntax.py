@@ -353,9 +353,9 @@ def _subst_binder(b: Name, body: Process, items):
 def fresh_names(template: str, avoid, start: int = 0) -> Iterator[Name]:
     """The reserved names `template.format(i)` for i = start, start + 1,
     ..., skipping those in `avoid`.  Every name the machinery invents comes
-    from here (canonical binders, the bound-name placeholder of
-    transitions, universe names), except the encodings' protocol pairs and
-    the primes of `fresh_variant`."""
+    from here (canonical binders, universe names), except the encodings'
+    protocol pairs, the primes of `fresh_variant` and the `#` names the
+    parser cannot spell, such as the transition placeholder."""
     for i in itertools.count(start):
         n = Name(template.format(i), reserved=True)
         if n not in avoid:

@@ -18,8 +18,9 @@ import sys
 from pathlib import Path
 
 from piworkbench.encodings import Boudol, HondaTokoro, encode
-from piworkbench.equivalences import KINDS, RelationKind, check_bisim
+from piworkbench.equivalences import KINDS, RelationKind, _build_engine, check_bisim
 from piworkbench.harness import GenConfig, generate_corpus
+from piworkbench.semantics import render_label
 from piworkbench.text import parse_term, render_term
 
 GOLDEN = Path(__file__).with_name("engine_golden.json")
@@ -115,6 +116,35 @@ def test_golden_corpus_covers_every_status_and_category():
     assert {r["status"] for r in want} == {"related", "not_related", "unknown"}
     categories = {r["witness"]["category"] for r in want if "witness" in r}
     assert categories == {"input-move", "output-move", "barb", "divergence"}
+
+
+def test_witness_steps_reach_their_pair_by_a_shortest_path():
+    # for each `not_related` case: from the two roots, the states the
+    # witness's steps can lead to, a side at a time, include its rendered
+    # pair, and no shorter sequence of moves reaches that pair, whose sides'
+    # distances add up to the number of steps
+    replayed = moved = 0
+    for name, rk, p, q, depth in _cases():
+        witness = check_bisim(rk, p, q, depth).witness
+        if witness is None:
+            continue
+        eng = _build_engine(rk, [(p, q)], depth)
+        reached = {"left": {0}, "right": {0}}
+        frags = {"left": eng.fa, "right": eng.fb}
+        for step in witness.steps:
+            out = frags[step.side].out
+            reached[step.side] = {t for s in reached[step.side] for a, t in out[s]
+                                  if render_label(a) == step.label}
+        dist = 0
+        for side, term in zip(("left", "right"), witness.pair):
+            frag = frags[side]
+            (k,) = [k for k, s in enumerate(frag.states) if render_term(s) == term]
+            assert k in reached[side], (name, side)
+            dist += frag.dist[k]
+        assert dist == len(witness.steps), name
+        replayed += 1
+        moved += dist > 0
+    assert replayed > 100 and moved > 10, (replayed, moved)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,15 @@ from test_correspondence import _guardedness
 from test_semantics import _labelled
 from piworkbench import equivalences
 from piworkbench.congruence import normalize
+from piworkbench.correspondence import Criterion, check_soundness
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.equivalences import (AWBB, EWB, KINDS, SRWRB, WAB, WBB, WCB,
                                       WOT, RelationKind, audit_relation,
                                       check_bisim, relate, saturate)
+from piworkbench.explore import Exploration, explore
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import FreeOutput, build_fragment
+from piworkbench.semantics import (TAU, BoundOutput, FreeOutput, InputLab, build_fragment,
+                                   render_label)
 from piworkbench.syntax import Name, _free, names, substitute_all
 from piworkbench.text import parse_term, render_term
 
@@ -358,7 +361,8 @@ def _random_rules(rng, n):
 def _random_game(rules):
     """An engine that builds its obligations from `rules`."""
     eng = object.__new__(equivalences._Engine)
-    eng._pair_obligations = lambda side, x, y: rules[x, y] if side == "left" else ()
+    eng.left, eng.right = object(), object()
+    eng._pair_obligations = lambda me, you, x, y: rules[x, y] if me is eng.left else ()
     eng.table, eng.status, eng.blames = {}, {}, {}
     return eng
 
@@ -482,7 +486,7 @@ def _pair_leaves(clause):
 def test_each_pair_is_one_object_in_its_game(monkeypatch):
     # the tables, the roots and every clause that names a pair share its one
     # tuple, and every tau move of a side shares one blame; the ewb anchor
-    # is refuted, so the witness walk adds pairs too
+    # is refuted, so the witness search adds pairs too
     engines, roots = [], []
     build, decide = equivalences._build_engine, equivalences._Engine.decide
 
@@ -519,8 +523,60 @@ def test_each_pair_is_one_object_in_its_game(monkeypatch):
                     assert one[pair] is pair
                     named += 1
                 if blame is not None and blame.category == "tau-move":
-                    assert blame is eng.tau_blame[blame.side]
+                    assert blame is (eng.left if blame.side == "left" else eng.right).tau_blame
         assert named > len(eng.table)
+
+
+def _random_exploration(rng):
+    """A fully grown exploration of a random successor table: a few states,
+    each with a few labelled moves, bounded at a random depth."""
+    a, b = Name("a"), Name("b")
+    labels = (TAU, FreeOutput(a, b), BoundOutput(a, b), InputLab(b, a))
+    n = rng.randint(1, 7)
+    table = [[(rng.choice(labels), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+             for _ in range(n)]
+    ex = Exploration((0,), lambda s: table[s], rng.randint(0, 5))
+    while ex.grow():
+        pass
+    return ex
+
+
+def _product_walk(fa, fb):
+    """The reference witness walk: a breadth-first exploration of the
+    product of two graphs, a move of a pair moving one side, the left moves
+    first; each pair's distance, and its path as the first move into each
+    state in expansion order."""
+    def moves(pair):
+        i, j = pair
+        return [(("left", a), (i2, j)) for a, i2 in fa.out[i]] + [
+            (("right", b), (i, j2)) for b, j2 in fb.out[j]]
+
+    walk = explore((0, 0), moves, len(fa.states) * len(fb.states))
+    for k, pair in enumerate(walk.states):
+        dist, steps = walk.dist[k], []
+        while k:
+            k, (side, a) = next((i, lab) for i in range(k) for lab, t in walk.out[i] if t == k)
+            steps.append(equivalences.WitnessStep(side, render_label(a)))
+        yield pair, dist, steps[::-1]
+
+
+def test_witness_paths_are_the_two_bfs_tree_paths():
+    # the product walk reaches every pair; a pair's distance is the sum of
+    # its sides' distances and its path the left tree path, then the right
+    rng = random.Random(21)
+    pairs = 0
+    for _ in range(3000):
+        fa, fb = _random_exploration(rng), _random_exploration(rng)
+        assert fa.dist == sorted(fa.dist) and fb.dist == sorted(fb.dist)
+        walked = 0
+        for (i, j), dist, steps in _product_walk(fa, fb):
+            assert dist == fa.dist[i] + fb.dist[j]
+            tree = equivalences._tree_path("left", fa, i) + equivalences._tree_path("right", fb, j)
+            assert steps == tree, (i, j)
+            walked += 1
+        assert walked == len(fa.states) * len(fb.states)
+        pairs += walked
+    assert pairs > 10000, pairs
 
 
 def _spelled_apart(term):
@@ -532,17 +588,23 @@ def _spelled_apart(term):
     return substitute_all(term, dict(zip(free, fresh)))
 
 
-def test_verdicts_do_not_depend_on_how_free_names_are_spelled():
-    # ROADMAP item 6: an injective renaming of the free names keeps every
-    # status, for every kind and against both images, over replication-free
-    # terms and over replicated ones whose every replication is under a
-    # prefix (on a top-level one, checks run far longer: ROADMAP item 5)
+def _renaming_corpus() -> tuple:
+    """Replication-free terms, and replicated ones whose every replication
+    is under a prefix (on a top-level one, checks run far longer: ROADMAP
+    item 5)."""
     plain = generate_corpus(GenConfig(seed=5, max_size=8, communication_bias=0.7,
                                       allow_replication=False), 30)
     replicated = [t for t in generate_corpus(GenConfig(seed=5, max_size=10,
                                                        communication_bias=0.7), 400)
                   if _guardedness(t) and all(_guardedness(t))]
     assert len(replicated) == 36
+    return plain, replicated
+
+
+def test_verdicts_do_not_depend_on_how_free_names_are_spelled():
+    # ROADMAP item 6: an injective renaming of the free names keeps every
+    # status, for every kind and against both images
+    plain, replicated = _renaming_corpus()
     statuses = Counter()
     for term in [*plain, *replicated]:
         renamed = _spelled_apart(term)
@@ -555,3 +617,30 @@ def test_verdicts_do_not_depend_on_how_free_names_are_spelled():
                 statuses[want, term in replicated] += 1
     assert sum(statuses.values()) == (30 + 36) * 2 * len(KINDS)
     assert all(statuses[status, True] for status in ("related", "not_related", "unknown"))
+
+
+def _report_summary(report) -> tuple:
+    """What of a correspondence report does not name a term: its status,
+    how many failures, undecided targets and targets it counts, and the
+    path lengths of a completeness report."""
+    details = report.details
+    return (report.status, len(details.get("failures", ())), len(details.get("undecided", ())),
+            details.get("targets"),
+            Counter(r["path_length"] for r in details.get("reducts", ())))
+
+
+def test_correspondence_reports_do_not_depend_on_how_free_names_are_spelled():
+    # ROADMAP item 6: an injective renaming of the free names keeps what
+    # each criterion reports, against both images
+    plain, replicated = _renaming_corpus()
+    statuses = Counter()
+    for term in [*plain, *replicated]:
+        renamed = _spelled_apart(term)
+        for scheme in (Boudol, HondaTokoro):
+            for tag in "iswgc":
+                want, got = (_report_summary(check_soundness(Criterion(tag), scheme, t, 1))
+                             for t in (term, renamed))
+                assert got == want, (tag, scheme.tag, render_term(term), render_term(renamed))
+                statuses[want[0]] += 1
+    assert sum(statuses.values()) == (30 + 36) * 2 * 5
+    assert all(statuses[status] for status in ("pass", "fail", "unknown")), statuses

@@ -1,13 +1,18 @@
 """`syntax.fresh_names` and the first reserved name each of its users picks:
-canonical alpha binders (`%b`), normal-form level binders (`%r`), the
-transition bound-name placeholder (`%t..'`) and the universe's fresh names
-(`%w`)."""
+canonical alpha binders (`%b`), normal-form level binders (`%r`) and the
+universe's fresh names (`%w`).  Moves derived with no universe name fresh
+for the state use the one bound-name placeholder, which no state holds."""
 
 import itertools
 
+from test_normal_form_golden import CORPUS, CORPUS_SIZE, DEPTH, SCHEMES
+
 from piworkbench.congruence import normalize
-from piworkbench.semantics import _temp_bound_name, universe_fresh_names
-from piworkbench.syntax import Name, Output, Restrict, NIL, alpha_normalize, fresh_names
+from piworkbench.encodings import encode
+from piworkbench.harness import generate_corpus
+from piworkbench.semantics import (_PLACEHOLDER, build_fragment, default_universe,
+                                   universe_fresh_names)
+from piworkbench.syntax import Name, Output, Restrict, NIL, alpha_normalize, fresh_names, names
 from piworkbench.text import parse_term, render_term
 
 
@@ -44,9 +49,21 @@ def test_level_binders_start_at_r0():
     assert render_term(normalize(taken)) == "(nu %r1)%r1!%r0"
 
 
-def test_transition_placeholder_starts_at_t0_prime():
-    assert _temp_bound_name(parse_term("x!y")) == reserved("t0'")
-    assert _temp_bound_name(Output(Name("x"), reserved("t0'"), NIL)) == reserved("t1'")
+def test_no_fragment_state_holds_the_placeholder():
+    # every tau move of a tau-only fragment is derived with the placeholder,
+    # and so is every move of a labelled state whose universe has no name
+    # fresh for it; kept tau targets bind it or substitute it away, and a
+    # visible move that would hold it free is not kept
+    placeheld = 0
+    for term in generate_corpus(CORPUS, CORPUS_SIZE):
+        for _, scheme in SCHEMES:
+            p = normalize(term if scheme is None else encode(scheme, term))
+            for universe in (None, default_universe(p)):
+                frag = build_fragment(p, DEPTH, universe=universe)
+                for s in frag.states:
+                    assert _PLACEHOLDER not in names(s), render_term(s)
+                    placeheld += universe is not None and universe <= names(s)
+    assert placeheld
 
 
 def test_universe_names_start_at_w1():

@@ -15,12 +15,11 @@ from piworkbench.equivalences import saturate
 from piworkbench.explore import Exploration, explore
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.observables import IN, OUT, strong_barbs
-from piworkbench.semantics import (BoundOutput, Diverges, FreeOutput,
-                                   InputLab, Tau, _raw_transitions, _steps,
-                                   _tau_steps, _temp_bound_name,
-                                   build_fragment, caps, default_universe,
-                                   diverges, has_moves, reduce_once,
-                                   tau_divergent)
+from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, Diverges,
+                                   FreeOutput, InputLab, Tau, _raw_transitions,
+                                   _steps, _tau_steps, build_fragment, caps,
+                                   default_universe, diverges, has_moves,
+                                   reduce_once, tau_divergent)
 from piworkbench.syntax import Repl, _free
 from piworkbench.text import parse_term
 
@@ -183,7 +182,7 @@ def test_caps_equal_raw_transitions():
         root = normalize(p)
         states = explore(root, partial(_steps, universe=default_universe(root)), 2).states
         for s in (p, *states):
-            raw = [a for a, _ in _raw_transitions(s, _temp_bound_name(s))]
+            raw = [a for a, _ in _raw_transitions(s, _PLACEHOLDER)]
             barbs = strong_barbs(s)
             assert {b.chan for b in barbs if b.kind == OUT} == {
                 a.chan for a in raw if isinstance(a, (FreeOutput, BoundOutput))}, s

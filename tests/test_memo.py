@@ -17,8 +17,8 @@ from piworkbench.encodings import Boudol, encode
 from piworkbench.equivalences import WBB, check_bisim
 from piworkbench.harness import (CHECKS, CheckSpec, GenConfig, Limits,
                                  generate_corpus, run_suite)
-from piworkbench.semantics import (BoundOutput, _fresh_representative, _raw_transitions,
-                                   _temp_bound_name, build_fragment, default_universe,
+from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, _fresh_representative,
+                                   _raw_transitions, build_fragment, default_universe,
                                    reduce_once)
 from piworkbench.syntax import Name, Par, Repl, Restrict
 from piworkbench.text import parse_term
@@ -113,9 +113,9 @@ def _probes(frag, term):
     """(state, bound name) for every derivation the run made: the state
     `reduce_once` was asked about, and each fragment state with the name
     its labelled moves were derived with."""
-    yield term, _temp_bound_name(term)
+    yield term, _PLACEHOLDER
     for s in frag.states:
-        yield s, _fresh_representative(s, frag.universe) or _temp_bound_name(s)
+        yield s, _fresh_representative(s, frag.universe) or _PLACEHOLDER
 
 
 def test_fresh_targets_are_not_retained():

@@ -17,10 +17,9 @@ from piworkbench.congruence import (_canon, _level_names, level, normalize,
 from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import generate_corpus
 from piworkbench.observables import strong_barbs
-from piworkbench.semantics import (BoundOutput, FreeOutput, InputLab, Tau,
-                                   _fresh_representative, _raw_transitions,
-                                   _temp_bound_name, build_fragment, caps,
-                                   default_universe, has_moves)
+from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, FreeOutput, InputLab,
+                                   Tau, _fresh_representative, _raw_transitions,
+                                   build_fragment, caps, default_universe, has_moves)
 from piworkbench.syntax import (Input, Output, Par, Repl, Restrict, Success, _bound, _free,
                                 names, substitute, substitute_transient)
 from piworkbench.text import parse_term
@@ -64,7 +63,7 @@ def _naive_success(p) -> bool:
 
 
 def _naive_caps(p) -> tuple:
-    moves = _raw_transitions(p, _temp_bound_name(p))
+    moves = _raw_transitions(p, _PLACEHOLDER)
     return (
         {a.chan for a, _ in moves if isinstance(a, (FreeOutput, BoundOutput))},
         {a.chan for a, _ in moves if isinstance(a, InputLab)},
@@ -81,9 +80,8 @@ def _golden_targets():
             p = term if scheme is None else encode(scheme, term)
             frag = build_fragment(p, DEPTH, universe=default_universe(normalize(p)))
             for s in frag.states:
-                for w in dict.fromkeys((_fresh_representative(s, frag.universe)
-                                        or _temp_bound_name(s),
-                                        _temp_bound_name(s))):
+                rep = _fresh_representative(s, frag.universe)
+                for w in dict.fromkeys((rep or _PLACEHOLDER, _PLACEHOLDER)):
                     for _, t in _raw_transitions(s, w):
                         yield s, t
 
@@ -106,7 +104,7 @@ def test_transient_substitution_gives_the_substitution():
     for s, t in _golden_targets():
         # into a fresh name, and into a name bound in `t`, which must be renamed
         for old in sorted(_free(t))[:2]:
-            for new in dict.fromkeys((_temp_bound_name(s), *sorted(_bound(t))[:2])):
+            for new in dict.fromkeys((_PLACEHOLDER, *sorted(_bound(t))[:2])):
                 assert substitute_transient(t, old, new) is substitute(t, old, new)
 
 
