@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import (assemble, congruent, level, normalize,
-                         normalize_transient, unfold_once)
+from .congruence import (_variants, assemble, congruent, level, normalize,
+                         normalize_transient)
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
@@ -59,10 +59,8 @@ def inert_steps(p: Process) -> frozenset:
     allowed."""
     if not is_async(p):
         raise ValueError("inert reduction is defined on the asynchronous fragment")
-    starts = {normalize(p)}
-    starts.update(normalize(u) for u in unfold_once(normalize(p)))
     out = set()
-    for start in starts:
+    for start in _variants(normalize(p), 1):
         binders, comps = level(start)
         for v in binders:
             for i, ci in enumerate(comps):

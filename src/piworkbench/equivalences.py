@@ -571,7 +571,7 @@ def _universe(kind: RelationKind, p: Process, q: Process, depth: int) -> tuple:
     if kind.reduction_based:
         return None, ()
     shared_free = _free(p) | _free(q)
-    extras = universe_fresh_names(names(p) | names(q), max(depth, 1))
+    extras = universe_fresh_names(names(p) | names(q), depth)
     return shared_free | frozenset(extras), tuple(sorted(shared_free | {extras[0]}))
 
 

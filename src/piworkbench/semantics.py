@@ -23,36 +23,32 @@ from .congruence import normalize, normalize_transient
 from .explore import Exploration
 from .memo import memo
 from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
-                     Restrict, Success, _free, _union, _without, fresh_names, names,
+                     Restrict, Success, _free, _Term, _union, _without, fresh_names, names,
                      substitute, substitute_transient)
 from .text import render_term
 
 
-@dataclass(frozen=True)
-class Tau:
-    pass
+# Transition labels are hash-consed like terms, one object per distinct label.
+# Both fields are names: `datum` is an output's object or a move's bound name.
+class Tau(_Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FreeOutput:
-    chan: Name
-    datum: Name
+class FreeOutput(_Term):
+    __slots__ = __match_args__ = ("chan", "datum")
 
 
-@dataclass(frozen=True)
-class BoundOutput:
-    chan: Name
-    datum: Name
+class BoundOutput(_Term):
+    __slots__ = __match_args__ = ("chan", "datum")
 
 
-@dataclass(frozen=True)
-class InputLab:
-    chan: Name
-    datum: Name
+class InputLab(_Term):
+    __slots__ = __match_args__ = ("chan", "datum")
 
 
 Label = Tau | FreeOutput | BoundOutput | InputLab
 TAU = Tau()
+_LABEL_ORDER = {Tau: 0, FreeOutput: 1, BoundOutput: 2, InputLab: 3}
 
 
 def label_fn(a: Label) -> frozenset:
@@ -92,8 +88,7 @@ def render_label(a: Label) -> str:
 
 
 def _label_key(a: Label):
-    order = {Tau: 0, FreeOutput: 1, BoundOutput: 2, InputLab: 3}
-    return (order[type(a)],) + tuple(sorted(label_names(a)))
+    return (_LABEL_ORDER[type(a)],) + tuple(sorted(label_names(a)))
 
 
 def _raw_transitions(p: Process, w: Name) -> list:

@@ -3,11 +3,12 @@
 Processes are immutable trees over names; every operation in this module
 is a pure function, so values can be shared freely between threads.
 
-Terms and names are hash-consed (after Filliâtre & Conchon, "Type-safe
-modular hash-consing", ML Workshop 2006): constructing one returns the one
-live instance of its class with those fields, so equality is identity and
-hashing is the identity hash.  The intern table holds its instances weakly
-and keeps no term alive on its own.
+Names, terms and the transition labels of `semantics` are hash-consed
+(after Filliâtre & Conchon, "Type-safe modular hash-consing", ML Workshop
+2006) by one constructor, `_Term.__new__`: building a value returns the
+one live instance of its class with those fields, so equality is identity
+and hashing is the identity hash.  The intern table holds its instances
+weakly and keeps no value alive on its own.
 """
 
 from __future__ import annotations
@@ -45,11 +46,14 @@ def _forget(dead: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
 
 def _intern(key: tuple):
     """The instance for `key`, made and recorded if none is live.  Under
-    the lock, so that threads racing on one key get one object."""
+    the lock, so that threads racing on one key get one object.  A key of
+    the wrong length is never in the table, so its check runs only here."""
+    cls = key[0]
+    if len(key) != len(cls.__match_args__) + 1:
+        raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} fields")
     with _TABLE_LOCK:
         self = _TABLE.get(key, _absent)()
         if self is None:
-            cls = key[0]
             self = object.__new__(cls)
             for field, value in zip(cls.__match_args__, key[1:]):
                 object.__setattr__(self, field, value)
@@ -60,18 +64,22 @@ def _intern(key: tuple):
 
 
 class _Term:
-    """Base of the hash-consed classes: fields are `__match_args__`, set
-    once by `_intern`.  Instances are always true, which each `__new__`
-    relies on: `_TABLE.get(key, _absent)()` is the live instance or None."""
+    """Base of the hash-consed classes: fields are `__match_args__`, given
+    positionally and set once by `_intern`.  Instances are always true, which
+    `__new__` relies on: `_TABLE.get(key, _absent)()` is live or None."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple = ()
 
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        return _TABLE.get(key, _absent)() or _intern(key)
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a term")
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a term")
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -114,17 +122,9 @@ class Name(_Term):
 class Nil(_Term):
     __slots__ = ()
 
-    def __new__(cls):
-        key = (cls,)
-        return _TABLE.get(key, _absent)() or _intern(key)
-
 
 class Success(_Term):
     __slots__ = ()
-
-    def __new__(cls):
-        key = (cls,)
-        return _TABLE.get(key, _absent)() or _intern(key)
 
 
 class Output(_Term):
@@ -133,10 +133,6 @@ class Output(_Term):
     datum: Name
     cont: "Process"
 
-    def __new__(cls, chan: Name, datum: Name, cont: "Process"):
-        key = (cls, chan, datum, cont)
-        return _TABLE.get(key, _absent)() or _intern(key)
-
 
 class Input(_Term):
     __slots__ = __match_args__ = ("chan", "binder", "cont")
@@ -144,19 +140,11 @@ class Input(_Term):
     binder: Name
     cont: "Process"
 
-    def __new__(cls, chan: Name, binder: Name, cont: "Process"):
-        key = (cls, chan, binder, cont)
-        return _TABLE.get(key, _absent)() or _intern(key)
-
 
 class Par(_Term):
     __slots__ = __match_args__ = ("left", "right")
     left: "Process"
     right: "Process"
-
-    def __new__(cls, left: "Process", right: "Process"):
-        key = (cls, left, right)
-        return _TABLE.get(key, _absent)() or _intern(key)
 
 
 class Restrict(_Term):
@@ -164,18 +152,10 @@ class Restrict(_Term):
     binder: Name
     body: "Process"
 
-    def __new__(cls, binder: Name, body: "Process"):
-        key = (cls, binder, body)
-        return _TABLE.get(key, _absent)() or _intern(key)
-
 
 class Repl(_Term):
     __slots__ = __match_args__ = ("body",)
     body: "Process"
-
-    def __new__(cls, body: "Process"):
-        key = (cls, body)
-        return _TABLE.get(key, _absent)() or _intern(key)
 
 
 class Hole(_Term):
@@ -183,10 +163,6 @@ class Hole(_Term):
 
     __slots__ = __match_args__ = ("index",)
     index: int
-
-    def __new__(cls, index: int):
-        key = (cls, index)
-        return _TABLE.get(key, _absent)() or _intern(key)
 
 
 Process = Union[Nil, Success, Output, Input, Par, Restrict, Repl, Hole]

@@ -54,6 +54,20 @@ def test_inert_steps_under_replication_unfold():
     assert inert_steps(p) == frozenset()
 
 
+def test_inert_steps_read_unfoldings_without_normalize_entries():
+    p = parse_term("!(x!a | x?(y).0) | (nu c)(c!b | c?(d).d!a)")
+    memo.clear()
+    got = inert_steps(p)
+    # only the term itself is normalized through the table; its unfolding
+    # comes from `_variants`
+    assert congruence._normalize.cache_info().currsize == 1
+    assert sorted(map(render_term, got)) == [
+        "!(x!a | x?(%r0).0) | b!a",
+        "!(x!a | x?(%r0).0) | b!a | x!a | x?(%r0).0",
+    ]
+    memo.clear()
+
+
 def test_inert_subset_of_reductions_lemma1():
     cfg = GenConfig(seed=51, max_size=10, asynchronous=True, communication_bias=0.8)
     for term in generate_corpus(cfg, 80):

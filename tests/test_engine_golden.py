@@ -20,7 +20,7 @@ from pathlib import Path
 from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.equivalences import KINDS, RelationKind, _build_engine, check_bisim
 from piworkbench.harness import GenConfig, generate_corpus
-from piworkbench.semantics import render_label
+from piworkbench.semantics import Label, render_label
 from piworkbench.text import parse_term, render_term
 
 GOLDEN = Path(__file__).with_name("engine_golden.json")
@@ -145,6 +145,22 @@ def test_witness_steps_reach_their_pair_by_a_shortest_path():
         replayed += 1
         moved += dist > 0
     assert replayed > 100 and moved > 10, (replayed, moved)
+
+
+def test_every_move_label_is_the_interned_instance():
+    # the fragments a label kind plays over, once per pinned pair of terms
+    pairs = {}
+    for _, _, p, q, depth in _cases():
+        pairs.setdefault((p, q), depth)
+    kinds = set()
+    for (p, q), depth in pairs.items():
+        eng = _build_engine(RelationKind("ewb"), [(p, q)], depth)
+        for moves in (*eng.fa.out, *eng.fb.out):
+            for a, _ in moves:
+                fields = tuple(getattr(a, f) for f in type(a).__match_args__)
+                assert type(a)(*fields) is a
+                kinds.add(type(a))
+    assert kinds == set(Label.__args__)
 
 
 if __name__ == "__main__":

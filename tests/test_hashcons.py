@@ -1,7 +1,10 @@
-"""Hash-consed terms: one live object per term, identity equality, a weak
-intern table, thread-safe construction and the old order of names."""
+"""Hash-consed terms and labels: one live object per value, identity
+equality, one constructor, a weak intern table, thread-safe construction
+and the old order of names."""
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -9,6 +12,7 @@ import weakref
 
 from piworkbench import syntax
 from piworkbench.congruence import normalize
+from piworkbench.semantics import TAU, BoundOutput, FreeOutput, InputLab, Tau
 from piworkbench.syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par,
                                 Repl, Restrict, Success, substitute,
                                 substitute_all)
@@ -27,6 +31,11 @@ def test_equal_terms_are_one_object():
     q = Par(Output(x, y, NIL), Restrict(a, Input(a, z, Repl(Output(z, x, NIL)))))
     assert p is q
     assert hash(p) == object.__hash__(q)
+    assert Tau() is TAU
+    for label in (FreeOutput, BoundOutput, InputLab):
+        assert label(x, y) is label(x, y) is not label(y, x)
+        assert hash(label(x, y)) == object.__hash__(label(x, y))
+    assert FreeOutput(x, y) != BoundOutput(x, y)
 
 
 def test_parse_substitute_and_normalize_return_the_built_object():
@@ -53,10 +62,19 @@ def test_intern_table_does_not_keep_terms_alive():
     assert Output(Name("only-here"), Name("only-here-too"), NIL) is Output(
         Name("only-here"), Name("only-here-too"), NIL
     )
+    # and so does a label
+    label = InputLab(Name("label-only"), x)
+    assert (InputLab, label.chan, x) in syntax._TABLE
+    ref = weakref.ref(label)
+    del label
+    gc.collect()
+    assert ref() is None
+    assert not [k for k in syntax._TABLE if Name("label-only") in k]
 
 
 def test_terms_are_immutable():
-    for target, field in ((x, "ident"), (Output(x, y, NIL), "cont"), (NIL, "anything")):
+    for target, field in ((x, "ident"), (Output(x, y, NIL), "cont"), (NIL, "anything"),
+                          (FreeOutput(x, y), "datum"), (TAU, "anything")):
         try:
             setattr(target, field, None)
         except AttributeError:
@@ -69,6 +87,39 @@ def test_terms_are_immutable():
             pass
         else:
             raise AssertionError(f"deleted {field} of {target!r}")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_wrong_field_count_is_refused_without_a_table_entry():
+    classes = set(_subclasses(syntax._Term))
+    assert classes >= {Name, Nil, Success, Output, Input, Par, Restrict, Repl, Hole,
+                       Tau, FreeOutput, BoundOutput, InputLab}
+    before = dict(syntax._TABLE)
+    for cls in classes:
+        arity = len(cls.__match_args__)
+        least = 1 if cls is Name else arity  # a name's `reserved` has a default
+        for count in [arity + 1] + ([least - 1] if least else []):
+            try:
+                cls(*[x] * count)
+            except TypeError:
+                pass
+            else:
+                raise AssertionError(f"{cls.__name__} built from {count} fields")
+    assert syntax._TABLE.keys() == before.keys()
+
+
+def test_pickle_and_deepcopy_return_the_interned_object():
+    p = Par(Output(x, y, NIL), Restrict(a, Input(a, z, Repl(OK))))
+    for value in (x, Name("x", reserved=True), NIL, p, Hole(2), TAU,
+                  FreeOutput(x, y), BoundOutput(x, z), InputLab(a, z)):
+        assert pickle.loads(pickle.dumps(value)) is value
+        assert copy.deepcopy(value) is value
+        assert copy.copy(value) is value
 
 
 def test_concurrent_construction_yields_one_object_per_term():
