@@ -3,10 +3,9 @@
 The normal form at every parallel level is a block of restrictions (in
 positional order) over a flat, text-sorted multiset of components, with
 0-units, void restrictions and alpha-variance removed.  Two terms are
-congruent iff their normal forms are syntactically identical; replication
+congruent iff their normal forms are syntactically identical.  Replication
 unfolding (!P == P | !P) is not part of the normal form: `congruent`
-explores the normal forms of unfoldings breadth-first, up to a budget,
-with the shared explorer (`explore`).
+matches up to one unfolding, as two sets of `variants` that meet.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import functools
 import itertools
 import re
 
-from .explore import explore, unlabelled
 from .memo import memo
 from .syntax import (NIL, Hole, Input, Name, Nil, Output, Par, Process, Repl,
                      Restrict, Success, _free, fresh_names)
@@ -267,25 +265,19 @@ def unfold_once(p: Process) -> frozenset:
 
 
 @memo
-def _variants(nf: Process, budget: int) -> frozenset:
-    """The normal forms within `budget` replication unfoldings of the
-    normal form `nf`: the one table of unfoldings."""
-    step = unlabelled(lambda t: map(normalize_transient, unfold_once(t)))
-    return frozenset(explore(nf, step, budget).states)
+def _variants(nf: Process) -> frozenset:
+    """The normal form `nf` and the normal forms of its one-step
+    replication unfoldings: the one table of unfoldings."""
+    return frozenset({nf, *map(normalize_transient, unfold_once(nf))})
 
 
-def congruent(p: Process, q: Process, unfold_budget: int = 0) -> bool:
-    """Decide structural congruence.
+def variants(terms) -> frozenset:
+    """The normal forms within one replication unfolding of any of `terms`:
+    two terms are congruent up to one unfolding iff their sets meet."""
+    return frozenset().union(*(_variants(_normalize(t)) for t in terms))
 
-    Sound always; complete for replication-free terms at budget 0.  With a
-    positive budget, some pairing of replication unfoldings is searched on
-    both sides.
-    """
-    if unfold_budget < 0:
-        raise ValueError("unfold_budget must be >= 0")
-    np, nq = _normalize(p), _normalize(q)
-    if np == nq:
-        return True
-    if unfold_budget == 0:
-        return False
-    return not _variants(np, unfold_budget).isdisjoint(_variants(nq, unfold_budget))
+
+def congruent(p: Process, q: Process) -> bool:
+    """Decide structural congruence up to one replication unfolding on
+    each side.  Sound always; complete for replication-free terms."""
+    return not variants((p,)).isdisjoint(variants((q,)))

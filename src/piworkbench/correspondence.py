@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import (_variants, assemble, congruent, level, normalize,
-                         normalize_transient)
+from .congruence import assemble, level, normalize, normalize_transient, variants
 from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
@@ -60,7 +59,7 @@ def inert_steps(p: Process) -> frozenset:
     if not is_async(p):
         raise ValueError("inert reduction is defined on the asynchronous fragment")
     out = set()
-    for start in _variants(normalize(p), 1):
+    for start in variants((p,)):
         binders, comps = level(start)
         for v in binders:
             for i, ci in enumerate(comps):
@@ -111,13 +110,10 @@ def check_lemma(
     if lemma_id == "l1":
         # reduction is closed under structural congruence, so membership
         # is up to one replication unfold (the inert start may have used one)
-        reducts = reduce_once(normalize(term))
+        reducts = variants(reduce_once(normalize(term)))
         inert = inert_steps(term)
-        missing = [
-            q
-            for q in sorted(inert, key=render_term)
-            if not any(congruent(q, r, 1) for r in reducts)
-        ]
+        missing = [q for q in sorted(inert, key=render_term)
+                   if variants((q,)).isdisjoint(reducts)]
         details["inert_steps"] = len(inert)
         details["missing"] = [render_term(q) for q in missing]
         return CheckReport("lemma-l1", instance, "fail" if missing else "pass", details)
@@ -126,15 +122,12 @@ def check_lemma(
         violations = []
         checked = 0
         for q in sorted(inert_steps(term), key=render_term):
+            q_variants = variants((q,))
             for p2 in reduce_once(normalize(term)):
-                if congruent(p2, q, 1):
+                if not q_variants.isdisjoint(variants((p2,))):
                     continue
                 checked += 1
-                if not any(
-                    congruent(q2, r, 1)
-                    for q2 in reduce_once(q)
-                    for r in inert_steps(p2)
-                ):
+                if variants(reduce_once(q)).isdisjoint(variants(inert_steps(p2))):
                     violations.append((render_term(p2), render_term(q)))
         details["obligations"] = checked
         details["violations"] = violations
@@ -142,12 +135,14 @@ def check_lemma(
 
     if lemma_id == "l2star":
         violations = []
-        closures = [(p2, inert_closure(p2, depth)) for p2 in reduce_once(normalize(term))]
+        closures = [(p2, variants(inert_closure(p2, depth)))
+                    for p2 in reduce_once(normalize(term))]
         for q in sorted(inert_closure(term, depth), key=render_term):
+            q_variants = variants((q,))
             for p2, closure_p2 in closures:
-                if q in closure_p2:
+                if not q_variants.isdisjoint(closure_p2):
                     continue
-                if not any(r in closure_p2 for r in reduce_once(q)):
+                if variants(reduce_once(q)).isdisjoint(closure_p2):
                     violations.append((render_term(p2), render_term(q)))
         details["violations"] = violations
         return CheckReport("lemma-l2star", instance, "fail" if violations else "pass", details)
@@ -168,15 +163,12 @@ def check_lemma(
 
     # l6
     image = encode(scheme, term)
-    source_reducts = reduce_once(normalize(term))
+    encoded_reducts = variants(_encode(scheme, p2) for p2 in reduce_once(normalize(term)))
     failures = []
     undecided = []
     for q in reduce_once(normalize(image)):
         ex = _inert_exploration(q, depth)
-        if not any(
-            any(congruent(c, _encode(scheme, p2), 1) for c in ex.states)
-            for p2 in source_reducts
-        ):
+        if variants(ex.states).isdisjoint(encoded_reducts):
             # a closure cut off by the depth bound may still reach a match
             cut_off = any(inert_steps(ex.states[i]) for i in ex.horizon)
             (undecided if cut_off else failures).append(render_term(q))
@@ -201,10 +193,11 @@ def _completeness_report(check_id, scheme, term, bound, instance, match_related=
     ok = True
     for p2 in reduce_once(normalize(term)):
         target = _encode(scheme, p2)
+        target_variants = variants((target,)) if match_related is None else None
         hit = None
         for state, d in zip(reach.states, reach.dist):
             if match_related is None:
-                matched = congruent(state, target, 1)
+                matched = not variants((state,)).isdisjoint(target_variants)
             else:
                 matched = check_bisim(match_related, state, target, _MATCH_DEPTH).is_related
             if matched:
@@ -256,15 +249,16 @@ def check_soundness(
     factor = PROTOCOL_STEPS[scheme]
 
     if tag == "i":
-        failures = []
-        for t in reduce_once(normalize(image)):
-            if not any(congruent(t, _encode(scheme, s2), 1) for s2 in reduce_once(normalize(term))):
-                failures.append(render_term(t))
+        encoded_reducts = variants(_encode(scheme, s2) for s2 in reduce_once(normalize(term)))
+        failures = [render_term(t) for t in reduce_once(normalize(image))
+                    if variants((t,)).isdisjoint(encoded_reducts)]
         status = "fail" if failures else "pass"
         return CheckReport("criterion-i", instance, status, {"failures": failures})
 
     source = build_fragment(term, depth, universe=None)
     source_images = [_encode(scheme, s) for s in source.states]
+    if tag == "s":
+        image_variants = variants(source_images)
     targets = build_fragment(image, factor * depth, universe=None)
     eq = criterion.equivalence or SRWRB
     # g asks one game about every (tau-descendant, source image) pair; w
@@ -282,7 +276,7 @@ def check_soundness(
         matched = False
         if tag == "s":
             reach = build_fragment(t, factor * depth, universe=None)
-            matched = any(congruent(u, img, 1) for u in reach.states for img in source_images)
+            matched = not variants(reach.states).isdisjoint(image_variants)
             saw_unknown = not matched and bool(reach.frontier)
         else:  # w matches t itself, g any of its tau-descendants
             for u in (t,) if tag == "w" else descendants[n]:

@@ -1,8 +1,8 @@
 """Bounded breadth-first exploration over canonical states: the one search
-behind LTS fragments, divergence, weak barbs, tau-reachability, inert
-closures and replication unfoldings.  Callers supply the successor
-function and so keep their own costs and caches.  The module imports
-nothing from the package, so every layer can use it."""
+behind LTS fragments, divergence, weak barbs, tau-reachability and inert
+closures.  Callers supply the successor function and so keep their own
+costs and caches.  The module imports nothing from the package, so every
+layer can use it."""
 
 from __future__ import annotations
 

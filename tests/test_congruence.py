@@ -9,7 +9,7 @@ import pytest
 
 from _oracle import enum_terms, oracle_classes, scramble, size
 from piworkbench.congruence import (_canon, _level_names, _normalize, congruent, normalize,
-                                    unfold_once)
+                                    unfold_once, variants)
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.syntax import NIL, Name, _free, substitute_all
 from piworkbench.text import parse_term, render_term
@@ -44,17 +44,17 @@ def test_unused_restriction_dropped():
 def test_congruent_replication_unfold():
     p = parse_term("!(x!a)")
     q = parse_term("x!a | !(x!a)")
-    assert not congruent(p, q, 0)
-    assert congruent(p, q, 1)
+    assert normalize(p) != normalize(q)
+    assert congruent(p, q)
 
 
 def test_congruent_reflexive_budget_zero():
     p = parse_term("!(x!a | y?(q).0)")
-    assert congruent(p, p, 0)
+    assert normalize(p) == normalize(p)
 
 
 def test_congruent_distinct_free_usage():
-    assert not congruent(parse_term("x!a"), parse_term("a!x"), 0)
+    assert normalize(parse_term("x!a")) != normalize(parse_term("a!x"))
 
 
 def test_normalize_idempotent_examples():
@@ -84,6 +84,31 @@ def test_unfold_once_positions():
     }
     for text, want in cases.items():
         assert {render_term(u) for u in unfold_once(parse_term(text))} == want, text
+
+
+# seeded replicated terms, for the laws of matching up to one unfolding
+REPLICATED = [t for t in generate_corpus(GenConfig(seed=23, max_size=10, communication_bias=0.5), 200)
+              if unfold_once(t)]
+
+
+def test_variants_are_the_normal_forms_within_one_unfolding():
+    assert len(REPLICATED) >= 20
+    for t in REPLICATED:
+        want = {normalize(t)} | {normalize(u) for u in unfold_once(t)}
+        assert variants((t,)) == want, render_term(t)
+        assert variants((t, NIL)) == variants((t,)) | {NIL}
+
+
+def test_congruent_is_symmetric():
+    for p in REPLICATED[:30]:
+        for q in [p, *unfold_once(p), *REPLICATED[:30]]:
+            assert congruent(p, q) == congruent(q, p), (render_term(p), render_term(q))
+
+
+def test_congruent_to_each_one_step_unfolding():
+    for t in REPLICATED:
+        for u in unfold_once(t):
+            assert congruent(t, u), (render_term(t), render_term(u))
 
 
 def test_fn_preserved_by_normalize():
@@ -172,7 +197,7 @@ def test_congruent_agrees_with_rewrite_closure_oracle():
     agree_true = agree_false = 0
     for i, p in enumerate(seeds):
         for q in seeds[i + 1 :]:
-            got = congruent(p, q, 0)
+            got = normalize(p) == normalize(q)
             want = classes[p] == classes[q]
             assert got == want, (render_term(p), render_term(q), got, want)
             agree_true += got
@@ -192,7 +217,7 @@ def test_congruent_true_on_scrambled_larger_terms():
         p = parse_term(t)
         for _ in range(8):
             q = scramble(p, rng, steps=8)
-            assert congruent(p, q, 0)
+            assert normalize(p) == normalize(q)
 
 
 def test_canon_under_a_renaming_renders_as_the_renamed_normal_form():
@@ -255,4 +280,4 @@ def test_five_binder_cycle_congruent_under_binder_permutation():
     body = "(a!b | b!c | c!d | d!e | e!a)"
     p = parse_term("(nu a)(nu b)(nu c)(nu d)(nu e)" + body)
     q = parse_term("(nu a)(nu b)(nu c)(nu e)(nu d)" + body)
-    assert congruent(p, q, 0)
+    assert normalize(p) == normalize(q)

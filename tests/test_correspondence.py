@@ -128,6 +128,30 @@ def test_lemma_l2star():
     assert rep.passed
 
 
+# terms whose inert closures meet only up to one replication unfolding:
+# the first consumes its private pair into `!a!a`, and unfolding the
+# replica under the input prefix first yields `!a!a | a!a`
+L2STAR_UNFOLDING_TERMS = [
+    "(nu c)(c!a | c?(a).!a!a)",
+    "(nu b)(b!b | b?(c).a?(c).!(nu b)(nu b)c?(a).0)",
+]
+
+
+@pytest.mark.parametrize("text", L2STAR_UNFOLDING_TERMS)
+@pytest.mark.parametrize("depth", [1, 4])
+def test_lemma_l2star_matches_closures_up_to_one_unfolding(text, depth):
+    rep = check_lemma("l2star", parse_term(text), depth=depth)
+    assert rep.passed, rep.details
+
+
+def test_lemma_l2star_passes_on_replicated_async_corpus():
+    cfg = GenConfig(seed=51, max_size=14, asynchronous=True, communication_bias=0.9)
+    for term in generate_corpus(cfg, 400):
+        for depth in (1, 4):
+            rep = check_lemma("l2star", term, depth=depth)
+            assert rep.passed, (render_term(term), depth, rep.details)
+
+
 def test_completeness_boudol_three_steps():
     rep = check_completeness(Boudol, COMM)
     assert rep.passed
@@ -352,16 +376,23 @@ UNFOLDING_CHECKS = {
 def test_check_builds_each_terms_unfoldings_once(monkeypatch, check):
     # every comparison up to one unfolding goes through `congruence._variants`,
     # the one table of unfoldings, keyed by normal form; in `congruence` only
-    # `_variants` explores, so with the tables emptied before each term every
-    # explored root is one build, and each is a normal form
+    # `_variants` unfolds, so with the tables emptied before each term every
+    # outermost call of `unfold_once` is one build, and unfolds a normal form
     roots = []
-    explore = congruence.explore
+    unfold_once = congruence.unfold_once
+    nested = 0
 
-    def counting(root, step, bound):
-        roots.append(root)
-        return explore(root, step, bound)
+    def counting(p):
+        nonlocal nested
+        if not nested:
+            roots.append(p)
+        nested += 1
+        try:
+            return unfold_once(p)
+        finally:
+            nested -= 1
 
-    monkeypatch.setattr(congruence, "explore", counting)
+    monkeypatch.setattr(congruence, "unfold_once", counting)
     run, status = UNFOLDING_CHECKS[check]
     cfg = GenConfig(seed=3, max_size=10, communication_bias=0.9)
     built = 0

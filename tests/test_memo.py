@@ -38,7 +38,7 @@ def _memo_functions() -> list:
 
 def test_clear_empties_every_table():
     p = parse_term("!(nu a)(a!b | a?(c).c!x) | x?(y).y!x")
-    congruence.congruent(p, encode(Boudol, p), 1)
+    congruence.congruent(p, encode(Boudol, p))
     root = congruence.normalize(encode(Boudol, p))
     build_fragment(root, 3, universe=default_universe(root))
     fns = _memo_functions()
