@@ -128,6 +128,9 @@ def test_compositionality_up_to_alpha_on_corpus():
                 ctx = encoding_context(scheme, op, frozenset())
                 assert alpha_eq(direct, fill(ctx, (encode(scheme, term),),
                                              capture_avoiding=True))
+                # the names-aware context picks the translation's own names
+                ctx_n = encoding_context(scheme, op, _free(term))
+                assert fill(ctx_n, (encode(scheme, term),)) == direct
 
 
 def test_name_invariance_injective_exact():
