@@ -25,6 +25,9 @@ from .semantics import (LtsFragment, Tau, build_fragment, default_universe,
                         render_label)
 from .text import ParseError, parse_term, render_term
 
+# the CLI names of the two schemes, as `scheme_from_string` reads them
+SCHEMES = ("boudol", "ht")
+
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
@@ -191,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_parse)
 
     p = sub.add_parser("encode", help="translate a source term")
-    p.add_argument("--scheme", required=True, choices=["boudol", "ht"])
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_encode)
 
@@ -222,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("validate", help="encoding validity over a generated corpus")
-    p.add_argument("--scheme", required=True, choices=["boudol", "ht"])
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--corpus-seed", type=int, required=True)
@@ -235,14 +238,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correspondence", help="operational-correspondence criterion")
     p.add_argument("--criterion", required=True, choices=CRITERIA)
-    p.add_argument("--scheme", required=True, choices=["boudol", "ht"])
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_correspondence)
 
     p = sub.add_parser("lemma", help="evaluate a supporting lemma on an instance")
     p.add_argument("--id", required=True, choices=LEMMA_IDS)
-    p.add_argument("--scheme", default="boudol", choices=["boudol", "ht"])
+    p.add_argument("--scheme", default="boudol", choices=SCHEMES)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--allow-reserved", action="store_true")
     p.add_argument("file")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .congruence import assemble, level, normalize, normalize_transient, variants
-from .encodings import Boudol, EncodingScheme, HondaTokoro, Op, _encode, apply_op, encode, encoding_context, fill
+from .encodings import Boudol, EncodingScheme, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
 from .explore import explore, unlabelled
@@ -16,7 +16,6 @@ from .syntax import (NIL, Input, Output, Process, _free, alpha_eq, is_async,
                      substitute, substitute_all)
 from .text import render_term
 
-PROTOCOL_STEPS = {Boudol: 3, HondaTokoro: 2}
 CRITERIA = ("c", "cp", "i", "s", "w", "g")
 
 
@@ -159,7 +158,7 @@ def check_lemma(
         return CheckReport("lemma-pb", instance, "fail" if violations else "pass", details)
 
     if lemma_id == "l5":
-        return _completeness_report("lemma-l5", scheme, term, PROTOCOL_STEPS[scheme], instance)
+        return _completeness_report("lemma-l5", scheme, term, instance)
 
     # l6
     image = encode(scheme, term)
@@ -187,40 +186,46 @@ def check_lemma(
 _MATCH_DEPTH = 8
 
 
-def _completeness_report(check_id, scheme, term, bound, instance, match_related=None):
+def _completeness_report(check_id, scheme, term, instance, match_related=None):
+    bound = scheme.protocol_steps
     reach = build_fragment(encode(scheme, term), bound, universe=None)
     per_reduct = []
-    ok = True
+    failures = []
+    undecided = []
     for p2 in reduce_once(normalize(term)):
         target = _encode(scheme, p2)
         target_variants = variants((target,)) if match_related is None else None
         hit = None
+        saw_unknown = False
         for state, d in zip(reach.states, reach.dist):
             if match_related is None:
                 matched = not variants((state,)).isdisjoint(target_variants)
             else:
-                matched = check_bisim(match_related, state, target, _MATCH_DEPTH).is_related
+                verdict = check_bisim(match_related, state, target, _MATCH_DEPTH).status
+                matched = verdict == "related"
+                saw_unknown = saw_unknown or verdict == "unknown"
             if matched:
                 hit = d
                 break
         per_reduct.append({"reduct": render_term(p2), "path_length": hit})
         if hit is None:
-            ok = False
+            # a match check cut off by its bound may still have related
+            (undecided if saw_unknown else failures).append(p2)
+    status = "fail" if failures else "unknown" if undecided else "pass"
     details = {"reducts": per_reduct, "bound": bound}
-    return CheckReport(check_id, instance, "pass" if ok else "fail", details)
+    return CheckReport(check_id, instance, status, details)
 
 
 def check_completeness(scheme: EncodingScheme, term: Process) -> CheckReport:
     """Operational completeness: every source reduct is reached by the
     translation within the protocol's step budget."""
-    bound = PROTOCOL_STEPS[scheme]
     instance = {
         "criterion": "c",
         "scheme": scheme.tag,
         "term": render_term(term),
-        "bound": bound,
+        "bound": scheme.protocol_steps,
     }
-    return _completeness_report("criterion-c", scheme, term, bound, instance)
+    return _completeness_report("criterion-c", scheme, term, instance)
 
 
 def check_soundness(
@@ -236,17 +241,11 @@ def check_soundness(
     tag = criterion.tag
     instance = {"criterion": tag, "scheme": scheme.tag, "term": render_term(term), "depth": depth}
     if tag in ("c", "cp"):
-        return _completeness_report(
-            f"criterion-{tag}",
-            scheme,
-            term,
-            PROTOCOL_STEPS[scheme],
-            instance,
-            match_related=criterion.equivalence,
-        )
+        return _completeness_report(f"criterion-{tag}", scheme, term, instance,
+                                    match_related=criterion.equivalence)
 
     image = encode(scheme, term)
-    factor = PROTOCOL_STEPS[scheme]
+    factor = scheme.protocol_steps
 
     if tag == "i":
         encoded_reducts = variants(_encode(scheme, s2) for s2 in reduce_once(normalize(term)))
@@ -310,7 +309,7 @@ def check_success_sensitiveness(scheme: EncodingScheme, term: Process, depth: in
     is scaled by the protocol factor."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    factor = PROTOCOL_STEPS[scheme]
+    factor = scheme.protocol_steps
     sb, s_exh = weak_barbs(term, depth)
     tb, t_exh = weak_barbs(encode(scheme, term), factor * depth)
     s_has, t_has = succ() in sb, succ() in tb

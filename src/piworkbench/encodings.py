@@ -4,33 +4,47 @@ their fresh-name policy, and the per-operator target contexts."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .memo import memo
 from .syntax import (NIL, OK, Hole, Input, Name, Nil, Output, Par, Process,
                      Repl, Restrict, Success, _bound, _free, fresh_variant, names,
                      substitute)
 
-BOUDOL = "boudol"
-HONDA_TOKORO = "honda-tokoro"
-
 
 @dataclass(frozen=True)
 class EncodingScheme:
-    """Translation selector.  The renaming policy is the identity with
-    arity 1; protocol channels are drawn deterministically from the
-    reserved namespace."""
+    """A translation into the asynchronous fragment: the identity on every
+    operator but the two prefixes.  `output(x, z, u, v, k)` and
+    `input(x, y, u, v, k)` are their protocols around the encoded
+    continuation `k`, over the reserved channels `u`, `v`; one source step
+    takes at most `protocol_steps` target steps.  The tag is the identity."""
 
     tag: str
+    output: Callable = field(compare=False, repr=False)
+    input: Callable = field(compare=False, repr=False)
+    protocol_steps: int = field(compare=False)
 
-    def __post_init__(self):
-        if self.tag not in (BOUDOL, HONDA_TOKORO):
-            raise ValueError(f"unknown encoding scheme {self.tag!r}")
 
-
-Boudol = EncodingScheme(BOUDOL)
-HondaTokoro = EncodingScheme(HONDA_TOKORO)
+Boudol = EncodingScheme(
+    "boudol",
+    # (u)(x!u | u?(v).(v!z | [P]))
+    output=lambda x, z, u, v, k: Restrict(
+        u, Par(Output(x, u, NIL), Input(u, v, Par(Output(v, z, NIL), k)))),
+    # x?(u).(v)(u!v | v?(y).[P])
+    input=lambda x, y, u, v, k: Input(
+        x, u, Restrict(v, Par(Output(u, v, NIL), Input(v, y, k)))),
+    protocol_steps=3,
+)
+HondaTokoro = EncodingScheme(
+    "honda-tokoro",
+    # x?(u).(u!z | [P])
+    output=lambda x, z, u, v, k: Input(x, u, Par(Output(u, z, NIL), k)),
+    # (u)(x!u | u?(y).[P])
+    input=lambda x, y, u, v, k: Restrict(u, Par(Output(x, u, NIL), Input(u, y, k))),
+    protocol_steps=2,
+)
 
 _SCHEME_ALIASES = {
     "boudol": Boudol,
@@ -48,28 +62,19 @@ def scheme_from_string(text: str) -> EncodingScheme:
         raise ValueError(f"unknown encoding scheme {text!r}") from None
 
 
-def _pool() -> Iterable[Name]:
-    for i in itertools.count(1):
-        yield Name(f"u{i}", reserved=True)
-        yield Name(f"v{i}", reserved=True)
-
-
 def fresh_pair(avoid) -> tuple:
-    """First two distinct reserved protocol names outside `avoid`."""
-    avoid = frozenset(avoid)
-    picked = []
-    for n in _pool():
-        if n not in avoid:
-            picked.append(n)
-            if len(picked) == 2:
-                return tuple(picked)
-    raise AssertionError("unreachable")
+    """First two distinct reserved protocol names outside `avoid`, in the
+    order u1, v1, u2, v2, ..."""
+    fresh = (n for i in itertools.count(1)
+             for n in (Name(f"u{i}", reserved=True), Name(f"v{i}", reserved=True))
+             if n not in avoid)
+    return next(fresh), next(fresh)
 
 
 def encode(scheme: EncodingScheme, p: Process) -> Process:
     """Translate a source term.  Source terms may not mention reserved
     names; every name the translation introduces is bound."""
-    if scheme not in (Boudol, HondaTokoro):
+    if not isinstance(scheme, EncodingScheme):
         raise ValueError(f"unknown encoding scheme {scheme!r}")
     # every check of a source term encodes it again, so its names are read
     # from the tables, not folded afresh by `names`
@@ -90,26 +95,20 @@ def _encode(scheme: EncodingScheme, p: Process) -> Process:
             return Restrict(b, _encode(scheme, body))
         case Repl(body):
             return Repl(_encode(scheme, body))
-        case Output(x, z, k):
-            u, v = fresh_pair(_free(k) | {x, z})
-            ek = _encode(scheme, k)
-            if scheme == Boudol:
-                # (u)(x!u | u?(v).(v!z | [P]))
-                return Restrict(
-                    u,
-                    Par(Output(x, u, NIL), Input(u, v, Par(Output(v, z, NIL), ek))),
-                )
-            # x?(u).(u!z | [P])
-            return Input(x, u, Par(Output(u, z, NIL), ek))
-        case Input(x, y, k):
-            u, v = fresh_pair(_free(k) | {x})
-            ek = _encode(scheme, k)
-            if scheme == Boudol:
-                # x?(u).(v)(u!v | v?(y).[P])
-                return Input(x, u, Restrict(v, Par(Output(u, v, NIL), Input(v, y, ek))))
-            # (u)(x!u | u?(y).[P])
-            return Restrict(u, Par(Output(x, u, NIL), Input(u, y, ek)))
+        case Output(_, _, k) | Input(_, _, k):
+            return _protocol(scheme, p, _encode(scheme, k), _free(k))
     raise TypeError(f"cannot encode {p!r}")
+
+
+def _protocol(scheme: EncodingScheme, prefix: Output | Input, k: Process, ns) -> Process:
+    """The scheme's protocol for `prefix` around the continuation `k`.  Its
+    channels are the first fresh pair outside `ns` and the names the prefix
+    sends on or along."""
+    if isinstance(prefix, Output):
+        u, v = fresh_pair(ns | {prefix.chan, prefix.datum})
+        return scheme.output(prefix.chan, prefix.datum, u, v, k)
+    u, v = fresh_pair(ns | {prefix.chan})
+    return scheme.input(prefix.chan, prefix.binder, u, v, k)
 
 
 @dataclass(frozen=True)
@@ -226,39 +225,14 @@ class Op:
 
 def encoding_context(scheme: EncodingScheme, op: Op, ns) -> Context:
     """The univariate target context for a source operator, choosing
-    protocol names outside `ns` plus the operator's own names."""
-    ns = frozenset(ns)
-    match op.tag:
-        case "nil":
-            return Context(NIL, 0)
-        case "success":
-            return Context(OK, 0)
-        case "par":
-            return Context(Par(Hole(1), Hole(2)), 2)
-        case "repl":
-            return Context(Repl(Hole(1)), 1)
-        case "restrict":
-            (y,) = op.subject
-            return Context(Restrict(y, Hole(1)), 1, protected=frozenset((y,)))
-        case "output":
-            x, z = op.subject
-            u, v = fresh_pair(ns | {x, z})
-            if scheme == Boudol:
-                term = Restrict(
-                    u, Par(Output(x, u, NIL), Input(u, v, Par(Output(v, z, NIL), Hole(1))))
-                )
-            else:
-                term = Input(x, u, Par(Output(u, z, NIL), Hole(1)))
-            return Context(term, 1)
-        case "input":
-            x, y = op.subject
-            u, v = fresh_pair(ns | {x})
-            if scheme == Boudol:
-                term = Input(x, u, Restrict(v, Par(Output(u, v, NIL), Input(v, y, Hole(1)))))
-            else:
-                term = Restrict(u, Par(Output(x, u, NIL), Input(u, y, Hole(1))))
-            return Context(term, 1, protected=frozenset((y,)))
-    raise ValueError(f"unknown operator {op.tag!r}")
+    protocol names outside `ns` plus the operator's own names.  The
+    operator's own binder is protected."""
+    source = apply_op(op, tuple(Hole(i) for i in range(1, op.arity + 1)))
+    term = source
+    if isinstance(source, (Output, Input)):
+        term = _protocol(scheme, source, Hole(1), frozenset(ns))
+    binds = isinstance(source, (Restrict, Input))
+    return Context(term, op.arity, frozenset((source.binder,)) if binds else frozenset())
 
 
 def apply_op(op: Op, args: tuple) -> Process:

@@ -234,6 +234,11 @@ def _bisim_validity(term, scheme, depth, params) -> CheckReport:
 
 def _divergence(term, scheme, depth, params) -> CheckReport:
     d_src = diverges(term, depth)
+    # Boudol's step factor under both schemes: under Honda-Tokoro the search
+    # goes deeper than its factor needs, which can only decide more.  Its own
+    # `scheme.protocol_steps` would cut the pinned suite-mixed divergence
+    # check (Honda-Tokoro, depth 4) from 12 target steps to 8 and move its
+    # work counts, so that is a change to measure on its own
     d_tgt = diverges(encode(scheme, term), depth * 3)
     if "unknown" in (d_src.status, d_tgt.status):
         status = "unknown"

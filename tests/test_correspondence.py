@@ -3,7 +3,7 @@ import pytest
 from _oracle import oracle_bisim
 from piworkbench import congruence, correspondence, memo
 from piworkbench.congruence import normalize
-from piworkbench.correspondence import (_MATCH_DEPTH, PROTOCOL_STEPS, Criterion,
+from piworkbench.correspondence import (_MATCH_DEPTH, Criterion,
                                         check_completeness,
                                         check_compositionality, check_lemma,
                                         check_name_invariance,
@@ -11,7 +11,7 @@ from piworkbench.correspondence import (_MATCH_DEPTH, PROTOCOL_STEPS, Criterion,
                                         check_success_sensitiveness,
                                         inert_steps)
 from piworkbench.encodings import Boudol, HondaTokoro, Op, _encode, encode
-from piworkbench.equivalences import SRWRB, check_bisim
+from piworkbench.equivalences import SRWRB, Verdict, check_bisim
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import build_fragment, diverges, reduce_once
 from piworkbench.syntax import Input, Name, Output, Par, Repl, Restrict
@@ -222,6 +222,21 @@ def test_soundness_miss_past_the_source_bound_is_undecided(scheme):
         assert check_soundness(Criterion(tag), scheme, term, 2).passed, tag
 
 
+@pytest.mark.parametrize("scheme", [Boudol, HondaTokoro])
+def test_completeness_match_cut_off_by_its_bound_is_undecided(scheme, monkeypatch):
+    # ROADMAP item 7, mutant M9: a cp reduct whose match checks all say
+    # unknown is undecided, and only one whose checks all say not_related
+    # fails.  No natural instance is known, so the checks are patched
+    term = parse_term("x!z | x?(y).0")
+    crit = Criterion("cp", SRWRB)
+    monkeypatch.setattr(correspondence, "check_bisim", lambda *a: Verdict("unknown"))
+    rep = check_soundness(crit, scheme, term, 2)
+    assert rep.status == "unknown", rep.details
+    assert [r["path_length"] for r in rep.details["reducts"]] == [None]
+    monkeypatch.setattr(correspondence, "check_bisim", lambda *a: Verdict("not_related"))
+    assert check_soundness(crit, scheme, term, 2).status == "fail"
+
+
 def _guardedness(p, guarded=False) -> list:
     """Whether each replication in p sits under a prefix."""
     match p:
@@ -240,7 +255,7 @@ def _w_and_cp_games(scheme, term, depth) -> list:
     """The (kind, pairs, depth) of one game over every pair a criterion w
     report checks, (target, source image), and one over every pair a
     `Criterion("cp", SRWRB)` report checks, (reached state, reduct image)."""
-    factor = PROTOCOL_STEPS[scheme]
+    factor = scheme.protocol_steps
     images = [_encode(scheme, s) for s in build_fragment(term, depth, universe=None).states]
     targets = build_fragment(encode(scheme, term), factor * depth, universe=None).states
     reached = build_fragment(encode(scheme, term), factor, universe=None).states
