@@ -6,6 +6,8 @@ positional order) over a flat, text-sorted multiset of components, with
 congruent iff their normal forms are syntactically identical.  Replication
 unfolding (!P == P | !P) is not part of the normal form: `congruent`
 matches up to one unfolding, as two sets of `variants` that meet.
+`normalize_level` gives the normal form of a level from its binders and
+pieces, such as a transition target, without building it.
 """
 
 from __future__ import annotations
@@ -35,35 +37,83 @@ def normalize(p: Process) -> Process:
     return _normalize(p)
 
 
+def normalize_level(binders, pieces) -> Process:
+    """The normal form of `assemble(binders, pieces)`, without building it.
+
+    A piece is a term, a component from `peel_components`, or a pending
+    level: a pair (binders, pieces) of terms and pending levels, read as
+    its restriction block over the parallel composition of its pieces.
+    The level is peeled, and the names its binders must skip are read off
+    its components, so only the components get table entries."""
+    parts, names = _level_parts(binders, pieces)
+    return _canon_parts(parts, 0, frozenset().union(*names))
+
+
+def _level_parts(binders, pieces) -> tuple:
+    """The parts `normalize_level` canonicalizes, in peel order, and the
+    level names each brings in: a piece from `peel_components` is taken
+    as it is, and every other piece is peeled in its place."""
+    ren = {b: n for n, b in enumerate(binders)}
+    n = len(binders)
+    parts: list = []
+    names: list = []
+    for q in pieces:
+        if type(q) is _Peeled:
+            parts.append(q.part)
+            names.append(q.names)
+        else:
+            start = len(parts)
+            n = _peel(q, (), ren, parts, n)
+            names += [_level_names(c, outer, local) for c, local, outer in parts[start:]]
+    return parts, names
+
+
+class _Peeled:
+    """A component of a state's level peeled once by `peel_components`:
+    its part, as `_peel` records it under the level's binders, and the
+    level names it brings in."""
+
+    __slots__ = ("part", "names")
+
+    def __init__(self, part: tuple):
+        self.part = part
+        self.names = _level_names(part[0], part[2], part[1])
+
+
+def peel_components(binders, comps) -> tuple:
+    """The components of the level `binders` over `comps`, peeled once: a
+    piece for `normalize_level` that stands for its component in a level
+    whose binders begin with `binders`, so that a component a move leaves
+    unchanged is not peeled again for every move."""
+    ren = {b: n for n, b in enumerate(binders)}
+    out = []
+    for c in comps:
+        parts: list = []
+        _peel(c, (), ren, parts, len(binders))
+        out.append(_Peeled(*parts) if parts else c)
+    return tuple(out)
+
+
 def normalize_transient(p: Process) -> Process:
     """`normalize` for a term built to be normalized once, such as a
-    transition target: the same normal form, with no table entry keyed by
-    its parallel level.  The level is peeled and canonicalized directly,
-    and the names its binders must skip are read off its components, so
-    only the components get entries, never the spine."""
-    parts: list = []
-    _peel(p, (), {}, parts, 0)
-    skip = frozenset().union(*(_part_level_names(*part) for part in parts))
-    return _canon_parts(parts, 0, skip)
+    replication unfolding: the same normal form, with no table entry
+    keyed by its parallel level (`normalize_level` of one piece)."""
+    return normalize_level((), (p,))
 
 
 _normalize = memo(normalize_transient)
 
 
-def _level_names(p: Process, env: tuple) -> frozenset:
+def _level_names(p: Process, env: tuple, local: tuple = ()) -> frozenset:
     """The level names among the images of the free names of `p` under the
     renaming `env`: the names `_canon` must skip so that its binders never
-    capture them."""
+    capture them.  The names of `local`, the local renaming of a component
+    peeled off a level, are left out: the level binds them, even when one
+    is spelled like a level name."""
     m = dict(env)
-    images = (m.get(n, n) for n in _free(p))
+    mine = {y for y, _ in local}
+    images = (m.get(n, n) for n in _free(p) if n not in mine)
     return frozenset(w for w in images if w.reserved and _LEVEL_RE.match(w.ident))
-
-
-def _part_level_names(c: Process, local: tuple, outer: tuple) -> frozenset:
-    """`_level_names` of a component peeled off a level, under its outer
-    renaming.  Its local names count as markers, which are never level
-    names, even when a local name is spelled like one."""
-    return _level_names(c, outer + tuple((y, _SELF) for y, _ in local))
 
 
 def _restrict(env: tuple, p: Process) -> tuple:
@@ -96,7 +146,8 @@ def _peel(p: Process, env: tuple, ren: dict, parts: list, n: int) -> int:
     # Flatten the parallel level (pure alpha + maximal outward scope
     # extrusion): restriction binders are numbered in peel order, and each
     # component is kept as it is, with its local renaming (free name ->
-    # binder number) and the outer renaming of its other free names.
+    # binder number) and the outer renaming of its other free names.  A
+    # pending level of `normalize_level` peels as the spine it stands for.
     # Returns the number of binders peeled so far.
     match p:
         case Par(l, r):
@@ -104,6 +155,13 @@ def _peel(p: Process, env: tuple, ren: dict, parts: list, n: int) -> int:
         case Restrict(b, body):
             return _peel(body, env, {**ren, b: n}, parts, n + 1)
         case Nil():
+            return n
+        case (binders, pieces):
+            for b in binders:
+                ren = {**ren, b: n}
+                n += 1
+            for q in pieces:
+                n = _peel(q, env, ren, parts, n)
             return n
         case _:
             fp = _free(p)
@@ -200,7 +258,7 @@ def _binder_orders(live: list, parts: list):
     users: dict = {k: [] for k in live}
     for c, local, outer in parts:
         if local:
-            use = (c, local, outer, _part_level_names(c, local, outer))
+            use = (c, local, outer, _level_names(c, outer, local))
             for _, k in local:
                 users[k].append(use)
     group_of = {k: 0 for k in live}

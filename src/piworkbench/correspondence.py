@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .congruence import assemble, level, normalize, normalize_transient, variants
+from .congruence import level, normalize, normalize_level, variants
 from .encodings import Boudol, EncodingScheme, Op, _encode, apply_op, encode, encoding_context, fill
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
@@ -75,7 +75,7 @@ def inert_steps(p: Process) -> frozenset:
                     if v in leftover:
                         continue
                     rest = [b for b in binders if b != v]
-                    out.add(normalize_transient(assemble(rest, others + [received])))
+                    out.add(normalize_level(rest, others + [received]))
     return frozenset(out)
 
 

@@ -239,6 +239,9 @@ def apply_op(op: Op, args: tuple) -> Process:
     """Build the source term op(args)."""
     if len(args) != op.arity:
         raise ValueError(f"{op.tag} takes {op.arity} arguments, got {len(args)}")
+    names = {"restrict": 1, "output": 2, "input": 2}.get(op.tag, 0)
+    if len(op.subject) != names:
+        raise ValueError(f"{op.tag} takes {names} subject names, got {len(op.subject)}")
     match op.tag:
         case "nil":
             return NIL

@@ -3,11 +3,12 @@ by `memo`, and `clear` empties them all.  `run_suite` clears after each
 corpus term; a library caller that loops over terms calls `clear` itself.
 The module imports nothing from the package, so every layer can use it.
 
-A table is keyed only by terms that are asked about again.  A term built
-to be used once, such as a transition target, gets no entry: it goes
-through `normalize_transient` and `substitute_transient`, which key only
-the components under its fresh spine, so no table keeps it alive.  Nor
-does a state's spine, which is asked about once: `semantics.caps` and
+A table is keyed only by terms that are asked about again.  A term used
+once gets no entry.  A transition target is never built: its normal form
+comes from its binders and pieces through `normalize_level`, and a move
+substitutes into its pieces, not into a spine.  A replication unfolding
+goes through `normalize_transient`.  Both key only the components, so no
+table keeps a spine alive.  Nor does a state's spine, which is asked about once: `semantics.caps` and
 `syntax.names` read through restriction blocks and parallel spines and
 key only the components under them, and `text.render_term` keys a
 restriction block once, not each of its suffixes."""

@@ -1,9 +1,13 @@
 """Labelled transition semantics, bounded LTS fragments, divergence.
 
-Transitions are derived structurally (OUTPUT/INPUT-ACT, PAR, COM, CLOSE,
-RES, OPEN and the three replication rules); the reduction relation is the
-tau fragment of the labelled one, which by the Harmony Lemma represents
-reduction up to structural congruence.  `build_fragment` is the one
+Transitions are read off a state's level, its binders and components.
+Each component's own moves (OUTPUT/INPUT-ACT and the three replication
+rules, a replication body being a level too) are derived once per bound
+name; PAR, COM, CLOSE, RES and OPEN are written once, over a level; and
+a successor's normal form comes from the pieces a move produced, with no
+spine built.  The reduction relation is the tau fragment of the labelled
+one, which by the Harmony Lemma represents reduction up to structural
+congruence.  `build_fragment` is the one
 builder of bounded transition graphs: over a universe of names it derives
 every move, with none only the tau moves, so weak barbs and every tau-reach
 search read a tau-only fragment.  Divergence grows its own exploration level
@@ -19,12 +23,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Optional
 
-from .congruence import normalize, normalize_transient
+from .congruence import (assemble, level, normalize, normalize_level, normalize_transient,
+                         peel_components)
 from .explore import Exploration
 from .memo import memo
 from .syntax import (Hole, Input, Name, Nil, Output, Par, Process, Repl,
                      Restrict, Success, _free, _Term, _union, _without, fresh_names, names,
-                     substitute, substitute_transient)
+                     substitute)
 from .text import render_term
 
 
@@ -91,56 +96,138 @@ def _label_key(a: Label):
     return (_LABEL_ORDER[type(a)],) + tuple(sorted(label_names(a)))
 
 
-def _raw_transitions(p: Process, w: Name) -> list:
-    """All Table-style transitions of p, with `w` (fresh for the whole
-    term) as the single bound-name representative."""
-    match p:
+@memo
+def _raw_transitions(c: Process, w: Name) -> tuple:
+    """The moves of the component `c` by its own rules (OUTPUT-ACT,
+    INPUT-ACT and the three replication rules, a replication body being a
+    level), with `w`, fresh for the whole state, as the bound name: (label,
+    piece) pairs, a piece being a derivative subterm, a substitution
+    result or a pending level of `normalize_level` over such pieces."""
+    match c:
         case Output(x, z, k):
-            return [(FreeOutput(x, z), k)]
+            return ((FreeOutput(x, z), k),)
         case Input(x, y, k):
-            return [(InputLab(x, w), substitute(k, y, w))]
-        case Par(l, r):
-            lt = _raw_transitions(l, w)
-            rt = _raw_transitions(r, w)
-            out = []
-            for a, t in lt:
-                out.append((a, Par(t, r)))
-            for b, u in rt:
-                out.append((b, Par(l, u)))
-            for a, t in lt:
-                for b, u in rt:
-                    out.extend(_sync(a, t, b, u, w))
-                    out.extend(_sync(b, u, a, t, w, swap=True))
-            return out
-        case Restrict(y, body):
-            out = []
-            for a, t in _raw_transitions(body, w):
-                if y not in label_names(a):
-                    out.append((a, Restrict(y, t)))
-                elif isinstance(a, FreeOutput) and a.datum == y and a.chan != y:
-                    out.append((BoundOutput(a.chan, w), substitute_transient(t, y, w)))
-            return out
+            return ((InputLab(x, w), substitute(k, y, w)),)
         case Repl(body):
-            base = _raw_transitions(body, w)
-            out = [(a, Par(t, p)) for a, t in base]
-            for a, t in base:
-                for b, u in base:
-                    out.extend((TAU, Par(s, p)) for _, s in _sync(a, t, b, u, w))
-            return out
-        case _:
-            return []
+            base = _level_moves(*level(body), w)
+            return (*((a, ((), (t, c))) for a, t in base),
+                    *((TAU, (close, (s, r, c))) for close, s, r in _syncs(base, base, w)))
+    return ()
 
 
-def _sync(a: Label, t: Process, b: Label, u: Process, w: Name, swap: bool = False):
-    """COM and CLOSE between a sender transition (a, t) and a receiver
-    transition (b, u); `swap` restores the original component order."""
-    if not isinstance(b, InputLab):
-        return
-    pair = (lambda s, r: Par(r, s)) if swap else Par
-    if isinstance(a, FreeOutput) and a.chan == b.chan:
-        yield (TAU, pair(t, substitute_transient(u, w, a.datum)))
-    if isinstance(a, BoundOutput) and a.chan == b.chan:
-        yield (TAU, Restrict(w, pair(t, u)))
+def _level_moves(binders, comps, w: Name, base=None) -> list:
+    """Every move of the level `binders` over `comps`, with `w` as the
+    bound name, as (label, pending level): PAR moves one component, COM
+    and CLOSE meet two, in either order, and RES and OPEN filter through
+    the binders, innermost first.  A target's binders are the kept ones in
+    order, then a CLOSE's fresh binder, and its pieces stand in the
+    components' places, as in the spine the rules would build.  A move
+    leaves the pieces of `base` (default `comps`, or components peeled
+    under `binders`) in place, except after an OPEN, which renumbers the
+    binders and substitutes into `comps`."""
+    base = comps if base is None else base
+    moves = [_raw_transitions(c, w) for c in comps]
+    found = [(a, (), ((i, t),)) for i, ms in enumerate(moves) for a, t in ms]
+    for j, right in enumerate(moves):
+        for i, left in enumerate(moves[:j]):
+            found += [(TAU, close, ((i, s), (j, r))) for close, s, r in _syncs(left, right, w)]
+            found += [(TAU, close, ((i, r), (j, s))) for close, s, r in _syncs(right, left, w)]
+    out = []
+    for a, close, changes in found:
+        kept, opened, seen = [], None, label_names(a)
+        for y in reversed(binders):
+            if y not in seen:
+                kept.append(y)
+            elif isinstance(a, FreeOutput) and a.datum == y and a.chan != y:
+                a, opened, seen = BoundOutput(a.chan, w), y, frozenset((a.chan, w))
+            else:
+                break
+        else:
+            if opened is None:
+                pieces = _put(base, changes)
+            else:
+                pieces = tuple(_subst_piece(q, opened, w) for q in _put(comps, changes))
+            out.append((a, ((*reversed(kept), *close), pieces)))
+    return out
+
+
+def _put(comps, changes) -> tuple:
+    """`comps` with the (position, piece) `changes` in place."""
+    pieces = list(comps)
+    for i, t in changes:
+        pieces[i] = t
+    return tuple(pieces)
+
+
+def _syncs(senders, receivers, w: Name):
+    """COM and CLOSE between a move of `senders` that outputs and a move of
+    `receivers` that inputs on the same channel: (the fresh binder a CLOSE
+    adds, the sender's piece, the receiver's piece)."""
+    for a, t in senders:
+        if not isinstance(a, (FreeOutput, BoundOutput)):
+            continue
+        for b, u in receivers:
+            if isinstance(b, InputLab) and b.chan == a.chan:
+                if isinstance(a, FreeOutput):
+                    yield (), t, _subst_piece(u, w, a.datum)
+                else:
+                    yield (w,), t, u
+
+
+def _subst_piece(piece, old: Name, new: Name):
+    """`substitute` into a piece without building a spine: a parallel
+    composition or a restriction block becomes a pending level, and only
+    the components under it go through `_subst`.  Only a binder that is
+    `old` or `new` has its spine built and substituted whole, as
+    capture-avoiding substitution renames it."""
+    if isinstance(piece, tuple):
+        binders, pieces = piece
+        for k, b in enumerate(binders):
+            if b == old or b == new:
+                return binders[:k], (substitute(_spine((binders[k:], pieces)), old, new),)
+        return binders, tuple(_subst_piece(q, old, new) for q in pieces)
+    match piece:
+        case Par(l, r):
+            return (), (_subst_piece(l, old, new), _subst_piece(r, old, new))
+        case Restrict(b, body) if b != old and b != new:
+            return (b,), (_subst_piece(body, old, new),)
+    return substitute(piece, old, new)
+
+
+def _spine(piece) -> Process:
+    """The term a piece stands for."""
+    if isinstance(piece, tuple):
+        binders, pieces = piece
+        return assemble(binders, [_spine(q) for q in pieces])
+    return piece
+
+
+def _is_component(c: Process) -> bool:
+    """Whether `c` can be a component of a level, as in a normal form:
+    neither a parallel composition nor a restriction, and a replication
+    only of a level."""
+    match c:
+        case Par() | Restrict():
+            return False
+        case Repl(body):
+            return all(map(_is_component, level(body)[1]))
+    return True
+
+
+def _state_level(p: Process) -> tuple:
+    """The level the moves of `p` are read off: its own, or its normal
+    form's when `p` is not a level."""
+    binders, comps = level(p)
+    if all(map(_is_component, comps)):
+        return binders, comps
+    return level(normalize_transient(p))
+
+
+def _state_moves(p: Process, w: Name) -> list:
+    """`_level_moves` of the level of `p`, with the components a move
+    leaves alone peeled once for all the moves."""
+    binders, comps = _state_level(p)
+    return _level_moves(binders, comps, w, peel_components(binders, comps))
 
 
 # The bound name of moves derived with no universe name fresh for the state:
@@ -170,10 +257,10 @@ def _steps(p: Process, universe: frozenset) -> Optional[tuple]:
     substitute it away (COM), and a visible move would hold it free."""
     rep = _fresh_representative(p, universe)
     out = set()
-    for a, t in _raw_transitions(p, rep or _PLACEHOLDER):
+    for a, (binders, pieces) in _state_moves(p, rep or _PLACEHOLDER):
         if rep is None and not isinstance(a, Tau):
             return None
-        out.add((a, normalize_transient(t)))
+        out.add((a, normalize_level(binders, pieces)))
     return tuple(sorted(out, key=lambda at: (_label_key(at[0]), render_term(at[1]))))
 
 
@@ -267,8 +354,8 @@ def _frontier(ex: Exploration, tau_only: bool) -> frozenset:
 def reduce_once(p: Process) -> tuple:
     """Canonical tau-successors, sorted: by the Harmony Lemma, the one-step
     reducts up to structural congruence.  The only cache of tau steps."""
-    raw = _raw_transitions(p, _PLACEHOLDER)
-    return tuple(sorted({normalize_transient(t) for a, t in raw if isinstance(a, Tau)},
+    moves = _state_moves(p, _PLACEHOLDER)
+    return tuple(sorted({normalize_level(*t) for a, t in moves if isinstance(a, Tau)},
                         key=render_term))
 
 

@@ -265,18 +265,6 @@ def substitute(p: Process, old: Name, new: Name) -> Process:
     return substitute_all(p, {old: new})
 
 
-def substitute_transient(p: Process, old: Name, new: Name) -> Process:
-    """`substitute` for a term built to be used once, such as a transition
-    target: its parallel spine is rebuilt with no table entry keyed by it,
-    and only the components under the spine go through the table."""
-    match p:
-        case Par(l, r):
-            return Par(substitute_transient(l, old, new), substitute_transient(r, old, new))
-        case Restrict(b, body) if b != old and b != new:
-            return Restrict(b, substitute_transient(body, old, new))
-    return substitute(p, old, new)
-
-
 def substitute_all(p: Process, mapping: Mapping[Name, Name]) -> Process:
     """Simultaneous capture-avoiding renaming of free occurrences.
 

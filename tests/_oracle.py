@@ -3,9 +3,11 @@
 Nothing here goes through the production transition/checker machinery:
 reduction is implemented straight from the reduction rules (communication
 axiom at a parallel level, closed under restriction, parallel and
-congruence), equivalence checking is a naive fixpoint over the fully
-enumerated tau graph, and structural congruence has a rewrite-closure
-oracle over the congruence axioms.
+congruence), the early labelled transitions have a reference derivation
+that recurses through a term's restriction chain and parallel spine and
+normalizes every target from scratch, equivalence checking is a naive
+fixpoint over the fully enumerated tau graph, and structural congruence
+has a rewrite-closure oracle over the congruence axioms.
 """
 
 from __future__ import annotations
@@ -13,11 +15,15 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from piworkbench.congruence import normalize, unfold_once
+from piworkbench.congruence import _canon_parts, _level_names, _peel, normalize, unfold_once
 from piworkbench.observables import CHAN, IN, OUT, SUCC, strong_barbs
+from piworkbench.semantics import (_PLACEHOLDER, TAU, BoundOutput, FreeOutput,
+                                   InputLab, Tau, _fresh_representative,
+                                   _label_key, label_names)
 from piworkbench.syntax import (NIL, OK, Hole, Input, Name, Nil, Output,
                                 Par, Process, Repl, Restrict, Success, names,
                                 substitute)
+from piworkbench.text import render_term
 
 # --- Def-2 style reduction ------------------------------------------
 
@@ -95,6 +101,97 @@ def oracle_tau_graph(p: Process, repl_unfolds: int = 0, cap: int = None) -> dict
         graph[t] = succs
         todo.extend(succs)
     return graph
+
+
+# --- reference early transitions ------------------------------------
+
+
+def raw_transitions(p: Process, w: Name) -> list:
+    """Every early transition of `p` (Sangiorgi & Walker, Table 1.5), with
+    `w` (fresh for the whole term) as the single bound-name
+    representative: the rules applied by structural recursion through
+    restriction chains, parallel spines and replication bodies, each
+    target built as a term.  PAR keeps a moving side in its place, COM and
+    CLOSE meet two sides at the parallel node that joins them, RES and OPEN
+    act at the restriction that binds the name."""
+    match p:
+        case Output(x, z, k):
+            return [(FreeOutput(x, z), k)]
+        case Input(x, y, k):
+            return [(InputLab(x, w), substitute(k, y, w))]
+        case Par(l, r):
+            lt = raw_transitions(l, w)
+            rt = raw_transitions(r, w)
+            out = [(a, Par(t, r)) for a, t in lt] + [(b, Par(l, u)) for b, u in rt]
+            for a, t in lt:
+                for b, u in rt:
+                    out.extend(_meet(a, t, b, u, w, Par))
+                    out.extend(_meet(b, u, a, t, w, lambda snd, rcv: Par(rcv, snd)))
+            return out
+        case Restrict(y, body):
+            out = []
+            for a, t in raw_transitions(body, w):
+                if y not in label_names(a):
+                    out.append((a, Restrict(y, t)))
+                elif isinstance(a, FreeOutput) and a.datum == y and a.chan != y:
+                    out.append((BoundOutput(a.chan, w), substitute(t, y, w)))
+            return out
+        case Repl(body):
+            base = raw_transitions(body, w)
+            out = [(a, Par(t, p)) for a, t in base]
+            for a, t in base:
+                for b, u in base:
+                    out.extend((TAU, Par(s, p)) for _, s in _meet(a, t, b, u, w, Par))
+            return out
+    return []
+
+
+def _meet(a, t, b, u, w, pair) -> list:
+    """COM and CLOSE of a sender move (a, t) and a receiver move (b, u);
+    `pair(sender target, receiver target)` puts the two in place."""
+    if not isinstance(b, InputLab) or not isinstance(a, (FreeOutput, BoundOutput)):
+        return []
+    if a.chan != b.chan:
+        return []
+    if isinstance(a, FreeOutput):
+        return [(TAU, pair(t, substitute(u, w, a.datum)))]
+    return [(TAU, Restrict(w, pair(t, u)))]
+
+
+def peel(t: Process) -> list:
+    """The parts the normal form of `t` is canonicalized from: each
+    component of its top level with its local binder numbers and the outer
+    renaming of its other free names."""
+    parts: list = []
+    _peel(t, (), {}, parts, 0)
+    return parts
+
+
+def reference_normal_form(t: Process) -> Process:
+    """The normal form of `t`, read off its peeled level with no table
+    entry keyed by `t`."""
+    parts = peel(t)
+    skip = frozenset().union(*(_level_names(c, outer, local) for c, local, outer in parts))
+    return _canon_parts(parts, 0, skip)
+
+
+def reference_steps(p: Process, universe: frozenset):
+    """`semantics._steps` by the reference derivation: the canonical
+    moves of `p` over `universe`, sorted, or None when it has a visible
+    move but no name fresh for it."""
+    rep = _fresh_representative(p, universe)
+    out = set()
+    for a, t in raw_transitions(p, rep or _PLACEHOLDER):
+        if rep is None and not isinstance(a, Tau):
+            return None
+        out.add((a, reference_normal_form(t)))
+    return tuple(sorted(out, key=lambda at: (_label_key(at[0]), render_term(at[1]))))
+
+
+def reference_reducts(p: Process) -> tuple:
+    """`semantics.reduce_once` by the reference derivation."""
+    return tuple(sorted({reference_normal_form(t) for a, t in raw_transitions(p, _PLACEHOLDER)
+                         if isinstance(a, Tau)}, key=render_term))
 
 
 # --- naive bisimulation fixpoint ------------------------------------

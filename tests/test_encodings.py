@@ -95,6 +95,19 @@ def test_context_univariate_validation():
         Context(Hole(1), 2)
 
 
+def test_apply_op_checks_the_subject_against_the_tag():
+    # output and input take a subject and an object, restrict one binder,
+    # and the other operators no name
+    with pytest.raises(ValueError):
+        apply_op(Op("output"), (NIL,))
+    with pytest.raises(ValueError):
+        apply_op(Op("nil", (x,)), ())
+    with pytest.raises(ValueError):
+        encoding_context(Boudol, Op("restrict", (x, y)), frozenset())
+    assert apply_op(Op("output", (x, z)), (NIL,)) == parse_term("x!z")
+    assert apply_op(Op("restrict", (x,)), (NIL,)) == Restrict(x, NIL)
+
+
 def test_encoding_context_par():
     ctx = encoding_context(Boudol, Op("par"), frozenset())
     assert ctx.term == Par(Hole(1), Hole(2))

@@ -2,12 +2,13 @@
 full successor function and testing its result against ().  `diverges`
 against a depth-first cycle search after every level, and the states
 `tau_divergent` keeps against a scan of tau closures.  The capability
-table behind the probe and behind the strong barbs against the raw
-transitions and `reduce_once`."""
+table behind the probe and behind the strong barbs against the reference
+transitions of `tests/_oracle.py` and `reduce_once`."""
 
 from functools import partial
 
 import pytest
+from _oracle import raw_transitions
 
 from piworkbench.congruence import normalize
 from piworkbench.encodings import Boudol, HondaTokoro, encode
@@ -16,7 +17,7 @@ from piworkbench.explore import Exploration, explore
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.observables import IN, OUT, strong_barbs
 from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, Diverges,
-                                   FreeOutput, InputLab, Tau, _raw_transitions,
+                                   FreeOutput, InputLab, Tau,
                                    _steps, _tau_steps, build_fragment, caps,
                                    default_universe, diverges, has_moves,
                                    reduce_once, tau_divergent)
@@ -182,7 +183,7 @@ def test_caps_equal_raw_transitions():
         root = normalize(p)
         states = explore(root, partial(_steps, universe=default_universe(root)), 2).states
         for s in (p, *states):
-            raw = [a for a, _ in _raw_transitions(s, _PLACEHOLDER)]
+            raw = [a for a, _ in raw_transitions(s, _PLACEHOLDER)]
             barbs = strong_barbs(s)
             assert {b.chan for b in barbs if b.kind == OUT} == {
                 a.chan for a in raw if isinstance(a, (FreeOutput, BoundOutput))}, s

@@ -17,10 +17,10 @@ from piworkbench.encodings import Boudol, encode
 from piworkbench.equivalences import WBB, check_bisim
 from piworkbench.harness import (CHECKS, CheckSpec, GenConfig, Limits,
                                  generate_corpus, run_suite)
-from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, _fresh_representative,
-                                   _raw_transitions, build_fragment, default_universe,
+from piworkbench.semantics import (_PLACEHOLDER, _fresh_representative, _level_moves,
+                                   _spine, _state_level, build_fragment, default_universe,
                                    reduce_once)
-from piworkbench.syntax import Name, Par, Repl, Restrict
+from piworkbench.syntax import Name
 from piworkbench.text import parse_term
 
 
@@ -109,6 +109,18 @@ def _subterms(p, seen: set) -> None:
                          if not isinstance(getattr(t, f), (Name, int)))
 
 
+def _built(piece) -> list:
+    """The spines that the pending levels of a move's piece stand for: the
+    terms that PAR, RES, COM, CLOSE and REPL would build for the move,
+    outermost first.  A level of one piece and no binder stands for the
+    piece itself."""
+    if not isinstance(piece, tuple):
+        return []
+    binders, pieces = piece
+    inner = [t for q in pieces for t in _built(q)]
+    return [_spine(piece), *inner] if binders or len(pieces) > 1 else inner
+
+
 def _probes(frag, term):
     """(state, bound name) for every derivation the run made: the state
     `reduce_once` was asked about, and each fragment state with the name
@@ -138,19 +150,17 @@ def test_fresh_targets_are_not_retained():
     kept: set = set()
     for t in [*terms, *(s for f in frags for s in f.states), *(t for r in reducts for t in r)]:
         _subterms(t, kept)
-    # a target built by PAR, RES, COM, CLOSE or REPL is a fresh spine; a
-    # prefix or OPEN target may be a subterm or a substitution result of
-    # one, which `_subst` keeps
+    # a move's pieces are subterms and substitution results, which `_subst`
+    # keeps, under pending levels; the spine a pending level stands for is
+    # built here, after the run, and no table may have kept it
     fresh = retained = 0
     for frag, term in zip(frags, terms):
         for s, w in _probes(frag, term):
-            if not isinstance(s, (Par, Restrict, Repl)):
-                continue
-            for a, t in _raw_transitions(s, w):
-                if isinstance(a, BoundOutput) or id(t) in kept:
-                    continue
-                fresh += 1
-                retained += id(t) in alive_ids
+            for _, target in _level_moves(*_state_level(s), w):
+                for t in _built(target):
+                    if id(t) not in kept:
+                        fresh += 1
+                        retained += id(t) in alive_ids
     assert retained == 0, (fresh, retained)
     assert fresh > 100, fresh
     memo.clear()

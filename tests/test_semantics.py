@@ -1,17 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 
-from _oracle import oracle_reducts, scramble
-from piworkbench import semantics
-from piworkbench.congruence import congruent, normalize
-from piworkbench.encodings import Boudol, encode
+from _oracle import (oracle_reducts, peel, raw_transitions, reference_reducts,
+                     reference_steps, scramble)
+from piworkbench import congruence, memo, semantics
+from piworkbench.congruence import _level_parts, congruent, normalize
+from piworkbench.encodings import Boudol, HondaTokoro, encode
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.observables import weak_barbs
-from piworkbench.semantics import (BoundOutput, FreeOutput, InputLab, Tau,
-                                   _steps, build_fragment, default_universe,
-                                   diverges, label_bn, label_fn, reduce_once)
-from piworkbench.syntax import Name, _free
+from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, FreeOutput, InputLab,
+                                   Tau, _fresh_representative, _level_moves,
+                                   _state_moves, _steps, build_fragment,
+                                   default_universe, diverges, label_bn, label_fn,
+                                   reduce_once)
+from piworkbench.syntax import Name, Par, Restrict, _free
 from piworkbench.text import parse_term, render_term
 
 x, z = Name("x"), Name("z")
@@ -243,3 +247,104 @@ def test_tau_steps_are_derived_once_by_reduce_once(monkeypatch):
     barbs, exhaustive = weak_barbs(p, 4)
     assert barbs and not exhaustive
     assert calls == []
+
+
+# The level derivation against the reference derivation of `tests/_oracle.py`,
+# which recurses through restriction chains and parallel spines, builds every
+# target as a term and normalizes it from scratch.
+
+LEVEL_CORPORA = (
+    GenConfig(seed=11, max_size=14, communication_bias=0.9, allow_replication=False),
+    GenConfig(seed=12, max_size=14, communication_bias=0.9, allow_replication=True),
+)
+
+# a term that is not a level (nested blocks, a right-nested spine, shadowed
+# binders), and one that is, where a datum is spelled like a binder of the
+# replication that receives it, so that substitution renames that binder
+RAW_TERMS = (
+    parse_term("(nu a)(x!a) | (nu a)(a?(y).0 | x?(b).b!a)"),
+    Par(parse_term("x!a"), Par(parse_term("x?(y).y!y"), parse_term("!(nu b)(x?(c).c!b)"))),
+    Restrict(Name("a"), Restrict(Name("a"), parse_term("x!a | a?(y).0"))),
+    parse_term("x!a | !(nu a)(x?(y).y!a)"),
+)
+
+
+def _level_cases():
+    """(term, universe) for the raw terms, every seeded term and its two
+    images, and the depth-2 fragment states of each over the free names
+    of its root plus two fresh names."""
+    for p in RAW_TERMS:
+        yield p, default_universe(p, 2)
+    for cfg in LEVEL_CORPORA:
+        for term in generate_corpus(cfg, 30):
+            for p in (term, encode(Boudol, term), encode(HondaTokoro, term)):
+                root = normalize(p)
+                universe = default_universe(root, 2)
+                for s in (p, *build_fragment(root, 2, universe=universe).states):
+                    yield s, universe
+
+
+def test_level_moves_equal_the_reference_derivation():
+    memo.clear()
+    count = replicated = 0
+    for s, universe in _level_cases():
+        assert _steps(s, universe) == reference_steps(s, universe), render_term(s)
+        assert reduce_once(s) == reference_reducts(s), render_term(s)
+        count += 1
+        replicated += "Repl(" in repr(s)
+    assert count > 900 and replicated > 150, (count, replicated)
+    memo.clear()
+
+
+def test_level_targets_peel_as_the_reference_targets():
+    # exact by construction: a target's binders and pieces peel into the
+    # parts of the term the reference rules build, in the same order, so
+    # the normal form agrees even where it depends on the presentation
+    memo.clear()
+    for s, universe in _level_cases():
+        w = _fresh_representative(s, universe) or _PLACEHOLDER
+        got = Counter((a, tuple(_level_parts(*t)[0])) for a, t in _state_moves(normalize(s), w))
+        want = Counter((a, tuple(peel(t))) for a, t in raw_transitions(normalize(s), w))
+        assert got == want, render_term(s)
+    memo.clear()
+
+
+def test_open_substitutes_into_the_components_that_use_the_binder():
+    p = parse_term("(nu a)(x!a | a?(y).y!b | a!c)")
+    universe = default_universe(p, 2)
+    steps = _steps(p, universe)
+    assert steps == reference_steps(p, universe)
+    ((lab, target),) = [(a, t) for a, t in steps if isinstance(a, BoundOutput)]
+    assert lab == BoundOutput(Name("x"), Name("w1", reserved=True))
+    assert target == normalize(parse_term("%w1?(y).y!b | %w1!c", allow_reserved=True))
+
+
+def test_close_between_two_copies_of_a_replication():
+    p = normalize(parse_term("!(nu a)(x!a | x?(y).y!b)"))
+    reducts = reduce_once(p)
+    assert reducts == reference_reducts(p)
+    # a copy's own COM, and a CLOSE of its bound output with another copy
+    assert normalize(parse_term("(nu a)(a!b) | !(nu a)(x!a | x?(y).y!b)")) in reducts
+    assert normalize(parse_term(
+        "(nu w)(x?(y).y!b | (nu a)(x!a | w!b)) | !(nu a)(x!a | x?(y).y!b)")) in reducts
+    assert len(reducts) == 2
+
+
+def test_empty_and_single_component_levels():
+    for text in ("0", "(nu a)0"):
+        p = parse_term(text)
+        assert _steps(p, default_universe(p, 2)) == () == reduce_once(p)
+    assert _level_moves([], [], _PLACEHOLDER) == []
+    p = parse_term("x?(y).y!y")
+    universe = default_universe(p, 2)
+    assert _steps(p, universe) == reference_steps(p, universe) == (
+        (InputLab(x, Name("w1", reserved=True)),
+         normalize(parse_term("%w1!%w1", allow_reserved=True))),)
+    assert reduce_once(p) == ()
+
+
+def test_reduce_once_takes_any_term_without_normal_form_entries():
+    memo.clear()
+    for p in RAW_TERMS:
+        assert reduce_once(p) == reference_reducts(p)
+    assert congruence._normalize.cache_info().currsize == 0

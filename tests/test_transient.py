@@ -1,14 +1,17 @@
 """The path for terms normalized once gives the normal form `normalize`
 does, and the shared name sets stay right.
 
-A transition target, a replication unfolding or an inert reduct is built,
+A transition target, a replication unfolding or an inert reduct is
 normalized once and dropped: `normalize_transient` gives it the very
-normal form `normalize` returns, with no table entry keyed by the term.
+normal form `normalize` returns, with no table entry keyed by the term,
+and a move's substitution into its pieces stands for the substituted
+term.
 `_free`, `_bound` and `caps` give what a naive recomputation gives, and
 return an operand's set itself when a union or difference leaves it
 unchanged.  `caps` and `names` read a state through its restriction block
 and parallel spine, so only the components under it get table entries."""
 
+from _oracle import raw_transitions
 from test_normal_form_golden import CORPUS, CORPUS_SIZE, DEPTH, SCHEMES
 
 from piworkbench import memo
@@ -18,10 +21,10 @@ from piworkbench.encodings import Boudol, encode
 from piworkbench.harness import generate_corpus
 from piworkbench.observables import strong_barbs
 from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, FreeOutput, InputLab,
-                                   Tau, _fresh_representative, _raw_transitions,
+                                   Tau, _fresh_representative, _spine, _subst_piece,
                                    build_fragment, caps, default_universe, has_moves)
 from piworkbench.syntax import (Input, Output, Par, Repl, Restrict, Success, _bound, _free,
-                                names, substitute, substitute_transient)
+                                names, substitute)
 from piworkbench.text import parse_term
 
 
@@ -63,7 +66,7 @@ def _naive_success(p) -> bool:
 
 
 def _naive_caps(p) -> tuple:
-    moves = _raw_transitions(p, _PLACEHOLDER)
+    moves = raw_transitions(p, _PLACEHOLDER)
     return (
         {a.chan for a, _ in moves if isinstance(a, (FreeOutput, BoundOutput))},
         {a.chan for a, _ in moves if isinstance(a, InputLab)},
@@ -73,8 +76,9 @@ def _naive_caps(p) -> tuple:
 
 
 def _golden_targets():
-    """Every raw target of the depth-2 fragment states of the golden
-    corpus and its images, with both bound names a state's moves use."""
+    """Every target the reference derivation builds for the depth-2
+    fragment states of the golden corpus and its images, with both bound
+    names a state's moves use."""
     for term in generate_corpus(CORPUS, CORPUS_SIZE):
         for _, scheme in SCHEMES:
             p = term if scheme is None else encode(scheme, term)
@@ -82,7 +86,7 @@ def _golden_targets():
             for s in frag.states:
                 rep = _fresh_representative(s, frag.universe)
                 for w in dict.fromkeys((rep or _PLACEHOLDER, _PLACEHOLDER)):
-                    for _, t in _raw_transitions(s, w):
+                    for _, t in raw_transitions(s, w):
                         yield s, t
 
 
@@ -105,7 +109,7 @@ def test_transient_substitution_gives_the_substitution():
         # into a fresh name, and into a name bound in `t`, which must be renamed
         for old in sorted(_free(t))[:2]:
             for new in dict.fromkeys((_PLACEHOLDER, *sorted(_bound(t))[:2])):
-                assert substitute_transient(t, old, new) is substitute(t, old, new)
+                assert _spine(_subst_piece(t, old, new)) is substitute(t, old, new)
 
 
 def test_name_sets_match_a_naive_recomputation():
