@@ -19,7 +19,7 @@ from .encodings import encode, scheme_from_string
 from .equivalences import KINDS, RelationKind, check_bisim
 from .harness import (CHECKS, CheckSpec, GenConfig, Limits, SuiteReport,
                       generate_corpus, run_suite)
-from .memo import paused_gc
+from .memo import job
 from .observables import strong_barbs, weak_barbs
 from .semantics import (LtsFragment, Tau, build_fragment, default_universe,
                         render_label)
@@ -261,7 +261,9 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        with paused_gc():
+        if args.fn is _cmd_validate:  # `run_suite` opens one job per corpus term
+            return args.fn(args)
+        with job():
             return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from .encodings import Boudol, EncodingScheme, Op, _encode, apply_op, encode, en
 from .equivalences import SRWRB, RelationKind, check_bisim, relate
 from .observables import IN, OUT, strong_barbs, weak_barbs, succ
 from .explore import explore, unlabelled
+from .memo import job
 from .semantics import build_fragment, reduce_once
 from .syntax import (NIL, Input, Output, Process, _free, alpha_eq, is_async,
                      substitute, substitute_all)
@@ -91,6 +92,7 @@ def inert_closure(p: Process, depth: int) -> frozenset:
 LEMMA_IDS = ("l1", "l2", "l2star", "pb", "l5", "l6")
 
 
+@job()
 def check_lemma(
     lemma_id: str,
     term: Process,
@@ -216,6 +218,7 @@ def _completeness_report(check_id, scheme, term, instance, match_related=None):
     return CheckReport(check_id, instance, status, details)
 
 
+@job()
 def check_completeness(scheme: EncodingScheme, term: Process) -> CheckReport:
     """Operational completeness: every source reduct is reached by the
     translation within the protocol's step budget."""
@@ -228,6 +231,7 @@ def check_completeness(scheme: EncodingScheme, term: Process) -> CheckReport:
     return _completeness_report("criterion-c", scheme, term, instance)
 
 
+@job()
 def check_soundness(
     criterion: Criterion, scheme: EncodingScheme, term: Process, depth: int
 ) -> CheckReport:
@@ -304,6 +308,7 @@ def check_soundness(
     )
 
 
+@job()
 def check_success_sensitiveness(scheme: EncodingScheme, term: Process, depth: int) -> CheckReport:
     """S reports success weakly iff its translation does; the target search
     is scaled by the protocol factor."""
@@ -338,6 +343,7 @@ def _is_injective(sigma: Mapping) -> bool:
     return all(v in sigma or v == k for k, v in sigma.items())
 
 
+@job()
 def check_name_invariance(
     scheme: EncodingScheme, term: Process, sigma: Mapping, depth: int = 8
 ) -> CheckReport:
@@ -362,6 +368,7 @@ def check_name_invariance(
                        {"verdict": verdict.status})
 
 
+@job()
 def check_compositionality(scheme: EncodingScheme, op: Op, args) -> CheckReport:
     """Compare the direct translation of op(args) against context filling,
     in both regimes: exact equality with the names-aware context, and

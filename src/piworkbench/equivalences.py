@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .congruence import normalize
-from .memo import paused_gc
+from .memo import job
 from .observables import CHAN, IN, OUT, SUCC, strong_barbs
 from .semantics import (TAU, BoundOutput, FreeOutput, InputLab, LtsFragment,
                         Tau, build_fragment, render_label, tau_divergent,
@@ -605,6 +605,7 @@ def _games(kind: RelationKind, pairs: list, depth: int) -> list:
     return out
 
 
+@job()
 def relate(kind: RelationKind, pairs, depth: int) -> tuple:
     """The status of each (p, q) of `pairs` over fragments bounded by
     `depth`: the value its root pair ends with in its game's one
@@ -617,34 +618,34 @@ def relate(kind: RelationKind, pairs, depth: int) -> tuple:
     and `_Engine._resolve` takes an aligned term equal to the other side as
     a match only when the fragment lacks it, so a shared fragment could
     undo a `related`."""
-    with paused_gc():
-        return tuple(status for status, _ in _games(kind, list(pairs), depth))
+    return tuple(status for status, _ in _games(kind, list(pairs), depth))
 
 
+@job()
 def check_bisim(kind: RelationKind, p: Process, q: Process, depth: int) -> Verdict:
     """Decide whether p and q are related by the given equivalence kind,
     over fragments bounded by `depth`: the one-pair case of `relate`, plus
     the relation of a `related` verdict or the witness of a `not_related`."""
     approx = (_INPUT_UNIVERSE_NOTE,) if kind.kind in ("ewb", "wab") else ()
-    with paused_gc():
-        ((status, eng),) = _games(kind, [(p, q)], depth)
-        if eng is None:
-            # the identity relation over the fragment the engine would build is
-            # a bisimulation of every kind here, whatever the exploration bound
-            universe, _ = _universe(kind, p, q, depth)
-            rel = tuple((s, s) for s in build_fragment(p, depth, universe=universe).states)
-            return Verdict("related", relation=rel, approximations=approx)
-        if status == "not_related":
-            return Verdict("not_related", witness=eng.witness(), approximations=approx)
-        if status == "unknown":
-            reason = "bounded exploration hit a frontier or left the built fragments"
-            return Verdict("unknown", reason=reason, approximations=approx)
-        # `status` keeps the sorted order of the pairs
-        rel = tuple((eng.fa.states[i], eng.fb.states[j])
-                    for (i, j), value in eng.status.items() if value == _OK)
+    ((status, eng),) = _games(kind, [(p, q)], depth)
+    if eng is None:
+        # the identity relation over the fragment the engine would build is
+        # a bisimulation of every kind here, whatever the exploration bound
+        universe, _ = _universe(kind, p, q, depth)
+        rel = tuple((s, s) for s in build_fragment(p, depth, universe=universe).states)
         return Verdict("related", relation=rel, approximations=approx)
+    if status == "not_related":
+        return Verdict("not_related", witness=eng.witness(), approximations=approx)
+    if status == "unknown":
+        reason = "bounded exploration hit a frontier or left the built fragments"
+        return Verdict("unknown", reason=reason, approximations=approx)
+    # `status` keeps the sorted order of the pairs
+    rel = tuple((eng.fa.states[i], eng.fb.states[j])
+                for (i, j), value in eng.status.items() if value == _OK)
+    return Verdict("related", relation=rel, approximations=approx)
 
 
+@job()
 def audit_relation(kind: RelationKind, p: Process, q: Process, depth: int, relation) -> tuple:
     """Replay a Related verdict's relation clause-by-clause; empty result
     means the self-audit passed.  `depth` is the verdict's, so at least 1."""

@@ -294,14 +294,14 @@ def run_suite(
     limits: Limits = Limits(),
     config: Optional[Mapping] = None,
 ) -> SuiteReport:
-    """Run each corpus term's checks on the calling thread, with the cyclic
-    collector paused, then `memo.clear()`.
+    """Run each corpus term's checks on the calling thread, as one
+    `memo.job`: they share derived facts, and no fact outlives its term.
 
     A failing or crashing check never aborts the suite; unknowns are
     counted apart from failures, and the report order is normalised."""
     results = []
     for idx, term in enumerate(corpus):
-        with memo.paused_gc():
+        with memo.job():
             for spec in checks:
                 try:
                     report = _run_check(spec, idx, term, limits)
@@ -313,6 +313,5 @@ def run_suite(
                         {"error": f"{type(exc).__name__}: {exc}"},
                     )
                 results.append(((spec.check_id, idx), report))
-            memo.clear()
     results.sort(key=lambda kv: kv[0])
     return SuiteReport(tuple(r for _, r in results), dict(config or {}))

@@ -1,7 +1,7 @@
 """How long a derived fact lives: every memo table in the package is made
-by `memo`, and `clear` empties them all.  `run_suite` clears after each
-corpus term; a library caller that loops over terms calls `clear` itself.
-The module imports nothing from the package, so every layer can use it.
+by `memo` and kept until the outermost `job` ends.  Each public entry
+point is a job, and a nested call joins the job it is in.  The module
+imports nothing from the package, so every layer can use it.
 
 A table is keyed only by terms that are asked about again.  A term used
 once gets no entry.  A transition target is never built: its normal form
@@ -16,13 +16,16 @@ restriction block once, not each of its suffixes."""
 from __future__ import annotations
 
 import gc
+import threading
+from contextlib import ContextDecorator
 from functools import lru_cache
 
 _TABLES: list = []
+_LOCK = threading.Lock()
 
 
 def memo(fn):
-    """`fn` with an unbounded table of its results, kept until `clear`."""
+    """`fn` with an unbounded table of its results, kept for the job."""
     table = lru_cache(maxsize=None)(fn)
     _TABLES.append(table)
     return table
@@ -34,22 +37,26 @@ def clear() -> None:
         table.cache_clear()
 
 
-class paused_gc:
-    """Context manager: the cyclic garbage collector is off inside, and
-    back on after if it was on before.
+class job(ContextDecorator):
+    """The scope of one job, as a context manager or a decorator.  The
+    outermost job pauses the cyclic collector, which would find no garbage,
+    and on exit empties every memo table and restores the collector.  Jobs
+    on all threads share one count; open an outer job to reuse tables."""
 
-    A job leaves no cyclic garbage: its hash-consed terms and memo tables
-    are freed by reference counting, and the collector would only rescan
-    them as they grow.  Does nothing when the collector is already off, so
-    jobs nest.  The switch is process-wide: jobs that overlap on several
-    threads may end one another's pause early, which costs only time."""
-
-    __slots__ = ("_was_enabled",)
+    depth = 0  # jobs open now, on every thread
+    collector_was_on = False
 
     def __enter__(self) -> None:
-        self._was_enabled = gc.isenabled()
-        gc.disable()
+        with _LOCK:
+            if job.depth == 0:
+                job.collector_was_on = gc.isenabled()
+                gc.disable()
+            job.depth += 1
 
     def __exit__(self, *exc) -> None:
-        if self._was_enabled:
-            gc.enable()
+        with _LOCK:
+            job.depth -= 1
+            if job.depth == 0:
+                clear()
+                if job.collector_was_on:
+                    gc.enable()

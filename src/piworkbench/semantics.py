@@ -241,12 +241,7 @@ def universe_fresh_names(avoid, count: int) -> tuple:
 
 
 def _fresh_representative(p: Process, universe: frozenset) -> Optional[Name]:
-    np = names(p)
-    cands = sorted(n for n in universe if n not in np)
-    if not cands:
-        return None
-    pooled = [n for n in cands if n.reserved]
-    return pooled[0] if pooled else cands[0]
+    return min(universe - names(p), key=lambda n: (not n.reserved, n), default=None)
 
 
 def _steps(p: Process, universe: frozenset) -> Optional[tuple]:

@@ -8,6 +8,7 @@ fragments close (frontier-free), extending the stream as needed.
 import itertools
 
 from _oracle import enum_terms, oracle_bisim
+from piworkbench import memo
 from piworkbench.congruence import congruent, normalize
 from piworkbench.correspondence import (Criterion, check_completeness,
                                         check_compositionality,
@@ -146,11 +147,12 @@ def test_criterion_05_operational_completeness():
     corpus = _corpus_where(
         200, lambda t: bool(reduce_once(normalize(t))),
         seed=105, max_size=8, communication_bias=0.8)
-    for scheme, bound in ((Boudol, 3), (HondaTokoro, 2)):
-        for t in corpus:
-            rep = check_completeness(scheme, t)
-            assert rep.passed, (scheme.tag, render_term(t), rep.details)
-            assert all(r["path_length"] <= bound for r in rep.details["reducts"])
+    with memo.job():
+        for scheme, bound in ((Boudol, 3), (HondaTokoro, 2)):
+            for t in corpus:
+                rep = check_completeness(scheme, t)
+                assert rep.passed, (scheme.tag, render_term(t), rep.details)
+                assert all(r["path_length"] <= bound for r in rep.details["reducts"])
     print("ACCEPTANCE 05 completeness: every reduct of 200 source terms matched "
           "within 3 target steps (Boudol) / 2 (Honda-Tokoro): PASS")
 
@@ -235,13 +237,14 @@ def test_criterion_10_hierarchy():
     pairs += list(zip(corpus, corpus[1:] + corpus[:1]))
     assert len(pairs) == 150
     checked = 0
-    for p, q in pairs:
-        verdicts = {k: check_bisim(kind, p, q, 10).status for k, kind in kinds.items()}
-        for finer, coarser in edges:
-            if verdicts[finer] == "related":
-                checked += 1
-                assert verdicts[coarser] == "related", (
-                    render_term(p), render_term(q), finer, coarser, verdicts)
+    with memo.job():
+        for p, q in pairs:
+            verdicts = {k: check_bisim(kind, p, q, 10).status for k, kind in kinds.items()}
+            for finer, coarser in edges:
+                if verdicts[finer] == "related":
+                    checked += 1
+                    assert verdicts[coarser] == "related", (
+                        render_term(p), render_term(q), finer, coarser, verdicts)
     print(f"ACCEPTANCE 10 hierarchy: no inversion across {len(pairs)} pairs "
           f"({checked} finer-implies-coarser obligations): PASS")
 
@@ -271,13 +274,14 @@ def test_criterion_12_oracle_agreement():
     pairs = [(p, q) for i, p in enumerate(small) for q in small[i:]]
     pairs += list(itertools.product(active, repeat=2))
     kinds = ("wbb", "awbb", "wcb", "srwrb")
-    for kind in kinds:
-        rk = RelationKind(kind)
-        for p, q in pairs:
-            got = check_bisim(rk, p, q, 12)
-            want = oracle_bisim(kind, p, q)
-            assert got.status == ("related" if want else "not_related"), (
-                kind, render_term(p), render_term(q), got.status, want)
+    with memo.job():
+        for kind in kinds:
+            rk = RelationKind(kind)
+            for p, q in pairs:
+                got = check_bisim(rk, p, q, 12)
+                want = oracle_bisim(kind, p, q)
+                assert got.status == ("related" if want else "not_related"), (
+                    kind, render_term(p), render_term(q), got.status, want)
     print(f"ACCEPTANCE 12 oracle agreement on {len(pairs)} term pairs x "
           f"{len(kinds)} kinds ({len(pairs) * len(kinds)} checks): PASS")
 

@@ -292,24 +292,24 @@ def test_shared_game_keeps_every_definite_per_pair_status(monkeypatch):
     assert len(replicated) >= 10
     checked = {4: 0, 2: 0}  # decided only by the shared game, per corpus depth
     for term, depth in [*((t, 4) for t in suite), *((t, 2) for t in replicated)]:
-        for scheme in (Boudol, HondaTokoro):
-            calls.clear()
-            check_soundness(Criterion("g"), scheme, term, depth)
-            assert len(calls) == 1, render_term(term)
-            games = calls + [(kind, pairs, d, relate(kind, pairs, d))
-                             for kind, pairs, d in _w_and_cp_games(scheme, term, depth)]
-            for kind, pairs, game_depth, statuses in games:
-                for (p, q), status in zip(pairs, statuses):
-                    alone = check_bisim(kind, p, q, game_depth).status
-                    if alone != "unknown":
-                        assert status == alone, (render_term(p), render_term(q), alone)
-                    elif status != "unknown":
-                        want = oracle_bisim(kind.kind, p, q, repl_unfolds=2, cap=300)
-                        if want is not None:
-                            checked[depth] += 1
-                            assert status == ("related" if want else "not_related"), (
-                                render_term(p), render_term(q), status)
-        memo.clear()
+        with memo.job():
+            for scheme in (Boudol, HondaTokoro):
+                calls.clear()
+                check_soundness(Criterion("g"), scheme, term, depth)
+                assert len(calls) == 1, render_term(term)
+                games = calls + [(kind, pairs, d, relate(kind, pairs, d))
+                                 for kind, pairs, d in _w_and_cp_games(scheme, term, depth)]
+                for kind, pairs, game_depth, statuses in games:
+                    for (p, q), status in zip(pairs, statuses):
+                        alone = check_bisim(kind, p, q, game_depth).status
+                        if alone != "unknown":
+                            assert status == alone, (render_term(p), render_term(q), alone)
+                        elif status != "unknown":
+                            want = oracle_bisim(kind.kind, p, q, repl_unfolds=2, cap=300)
+                            if want is not None:
+                                checked[depth] += 1
+                                assert status == ("related" if want else "not_related"), (
+                                    render_term(p), render_term(q), status)
     assert checked[4] > 100 and checked[2] > 20, checked
 
 

@@ -7,7 +7,7 @@ import pytest
 from _oracle import enum_terms, oracle_bisim
 from test_correspondence import _guardedness
 from test_semantics import _labelled
-from piworkbench import equivalences
+from piworkbench import equivalences, memo
 from piworkbench.congruence import normalize
 from piworkbench.correspondence import Criterion, check_soundness
 from piworkbench.encodings import Boudol, HondaTokoro, encode
@@ -239,12 +239,13 @@ def test_checker_agrees_with_naive_fixpoint_oracle():
                     insert_success_probability=0.2)
     active = list(generate_corpus(cfg, 12))
     sample = terms[:10] + active
-    for kind in ("wbb", "awbb", "wcb", "srwrb"):
-        for p, q in itertools.product(sample, repeat=2):
-            got = check_bisim(RelationKind(kind), p, q, 12)
-            want = oracle_bisim(kind, p, q)
-            assert got.status == ("related" if want else "not_related"), (
-                kind, render_term(p), render_term(q), got.status, want)
+    with memo.job():
+        for kind in ("wbb", "awbb", "wcb", "srwrb"):
+            for p, q in itertools.product(sample, repeat=2):
+                got = check_bisim(RelationKind(kind), p, q, 12)
+                want = oracle_bisim(kind, p, q)
+                assert got.status == ("related" if want else "not_related"), (
+                    kind, render_term(p), render_term(q), got.status, want)
 
 
 def test_engine_builds_obligations_only_near_the_root(monkeypatch):
@@ -429,17 +430,18 @@ def test_definite_verdicts_stay_put_as_the_depth_grows():
     cfg = GenConfig(seed=7, max_size=10, communication_bias=0.6, allow_replication=True)
     cases = ((EWB, Boudol), (WOT, Boudol), (EWB, HondaTokoro), (WAB, HondaTokoro),
              (WBB, Boudol))
-    for term in generate_corpus(cfg, 150):
-        for kind, scheme in cases:
-            image = encode(scheme, term)
-            definite = None
-            for depth in (2, 3, 5):
-                status = check_bisim(kind, term, image, depth).status
-                if definite is not None:
-                    assert status == definite, (
-                        kind.kind, scheme.tag, render_term(term), depth, status, definite)
-                elif status != "unknown":
-                    definite = status
+    with memo.job():
+        for term in generate_corpus(cfg, 150):
+            for kind, scheme in cases:
+                image = encode(scheme, term)
+                definite = None
+                for depth in (2, 3, 5):
+                    status = check_bisim(kind, term, image, depth).status
+                    if definite is not None:
+                        assert status == definite, (
+                            kind.kind, scheme.tag, render_term(term), depth, status, definite)
+                    elif status != "unknown":
+                        definite = status
 
 
 def test_label_kinds_relate_each_pair_alone(monkeypatch):
@@ -457,20 +459,21 @@ def test_label_kinds_relate_each_pair_alone(monkeypatch):
     monkeypatch.setattr(equivalences, "_build_engine", recording)
     cfg = GenConfig(seed=3, max_size=12, communication_bias=0.9, allow_replication=False)
     decided = 0
-    for term in generate_corpus(cfg, 20):
-        for scheme in (Boudol, HondaTokoro):
-            pairs = [(u, v) for u in build_fragment(term, 1, universe=None).states
-                     for v in build_fragment(encode(scheme, term), 2, universe=None).states]
-            for kind in (EWB, WOT, WAB, WBB):
-                sizes.clear()
-                statuses = relate(kind, pairs, 3)
-                if kind.reduction_based:
-                    assert len(sizes) <= 1
-                    continue
-                assert set(sizes) <= {1}
-                alone = [check_bisim(kind, p, q, 3).status for p, q in pairs]
-                assert list(statuses) == alone, (kind.kind, render_term(term))
-                decided += sum(s != "unknown" for s in alone)
+    with memo.job():
+        for term in generate_corpus(cfg, 20):
+            for scheme in (Boudol, HondaTokoro):
+                pairs = [(u, v) for u in build_fragment(term, 1, universe=None).states
+                         for v in build_fragment(encode(scheme, term), 2, universe=None).states]
+                for kind in (EWB, WOT, WAB, WBB):
+                    sizes.clear()
+                    statuses = relate(kind, pairs, 3)
+                    if kind.reduction_based:
+                        assert len(sizes) <= 1
+                        continue
+                    assert set(sizes) <= {1}
+                    alone = [check_bisim(kind, p, q, 3).status for p, q in pairs]
+                    assert list(statuses) == alone, (kind.kind, render_term(term))
+                    decided += sum(s != "unknown" for s in alone)
     assert decided > 100, decided
 
 
@@ -606,15 +609,16 @@ def test_verdicts_do_not_depend_on_how_free_names_are_spelled():
     # status, for every kind and against both images
     plain, replicated = _renaming_corpus()
     statuses = Counter()
-    for term in [*plain, *replicated]:
-        renamed = _spelled_apart(term)
-        for scheme in (Boudol, HondaTokoro):
-            for k in KINDS:
-                kind = RelationKind(k)
-                want = check_bisim(kind, term, encode(scheme, term), 4).status
-                got = check_bisim(kind, renamed, encode(scheme, renamed), 4).status
-                assert got == want, (k, scheme.tag, render_term(term), render_term(renamed))
-                statuses[want, term in replicated] += 1
+    with memo.job():
+        for term in [*plain, *replicated]:
+            renamed = _spelled_apart(term)
+            for scheme in (Boudol, HondaTokoro):
+                for k in KINDS:
+                    kind = RelationKind(k)
+                    want = check_bisim(kind, term, encode(scheme, term), 4).status
+                    got = check_bisim(kind, renamed, encode(scheme, renamed), 4).status
+                    assert got == want, (k, scheme.tag, render_term(term), render_term(renamed))
+                    statuses[want, term in replicated] += 1
     assert sum(statuses.values()) == (30 + 36) * 2 * len(KINDS)
     assert all(statuses[status, True] for status in ("related", "not_related", "unknown"))
 
@@ -634,13 +638,14 @@ def test_correspondence_reports_do_not_depend_on_how_free_names_are_spelled():
     # each criterion reports, against both images
     plain, replicated = _renaming_corpus()
     statuses = Counter()
-    for term in [*plain, *replicated]:
-        renamed = _spelled_apart(term)
-        for scheme in (Boudol, HondaTokoro):
-            for tag in "iswgc":
-                want, got = (_report_summary(check_soundness(Criterion(tag), scheme, t, 1))
-                             for t in (term, renamed))
-                assert got == want, (tag, scheme.tag, render_term(term), render_term(renamed))
-                statuses[want[0]] += 1
+    with memo.job():
+        for term in [*plain, *replicated]:
+            renamed = _spelled_apart(term)
+            for scheme in (Boudol, HondaTokoro):
+                for tag in "iswgc":
+                    want, got = (_report_summary(check_soundness(Criterion(tag), scheme, t, 1))
+                                 for t in (term, renamed))
+                    assert got == want, (tag, scheme.tag, render_term(term), render_term(renamed))
+                    statuses[want[0]] += 1
     assert sum(statuses.values()) == (30 + 36) * 2 * 5
     assert all(statuses[status] for status in ("pass", "fail", "unknown")), statuses

@@ -1,20 +1,27 @@
-"""The memo registry: every derived-fact table comes from `memo`, and
-`memo.clear()` empties them all, so a suite keeps no dead term alive.  No
-table keeps a term that is built and normalized once, such as a
-transition target.  A job leaves no cyclic garbage, so `memo.paused_gc`
-loses nothing."""
+"""The memo registry: every derived-fact table comes from `memo` and
+lives as long as the outermost `memo.job`, so a loop of checks or a suite
+keeps no dead term alive.  No table keeps a term that is built and
+normalized once, such as a transition target.  A job leaves no cyclic
+garbage, so pausing the collector for it loses nothing."""
 
 import contextlib
 import gc
 import importlib
 import pkgutil
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
 import piworkbench
-from piworkbench import congruence, memo, syntax
-from piworkbench.encodings import Boudol, encode
-from piworkbench.equivalences import WBB, check_bisim
+from piworkbench import cli, congruence, harness, memo, syntax
+from piworkbench.correspondence import (Criterion, check_completeness, check_compositionality,
+                                        check_lemma, check_name_invariance, check_soundness,
+                                        check_success_sensitiveness)
+from piworkbench.encodings import Boudol, Op, encode
+from piworkbench.equivalences import WBB, audit_relation, check_bisim, relate
 from piworkbench.harness import (CHECKS, CheckSpec, GenConfig, Limits,
                                  generate_corpus, run_suite)
 from piworkbench.semantics import (_PLACEHOLDER, _fresh_representative, _level_moves,
@@ -91,7 +98,6 @@ def test_check_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    memo.clear()
 
 
 REPLICATED = GenConfig(seed=7, max_size=16, communication_bias=0.9, allow_replication=True)
@@ -166,16 +172,124 @@ def test_fresh_targets_are_not_retained():
     memo.clear()
 
 
+def _entries() -> int:
+    return sum(table.cache_info().currsize for table in memo._TABLES)
+
+
+# an asynchronous term, so that every lemma applies, and its T_B image,
+# related to it by wbb at depth 6
+P = parse_term("(nu c)(c!a | c?(x).x!b) | a?(y).y!b")
+Q = encode(Boudol, P)
+
+ENTRY_POINTS = {
+    "check_bisim": lambda: check_bisim(WBB, P, Q, 6),
+    "relate": lambda: relate(WBB, [(P, Q), (Q, P)], 6),
+    "audit_relation": lambda: audit_relation(WBB, P, Q, 6, check_bisim(WBB, P, Q, 6).relation),
+    "check_lemma": lambda: check_lemma("l6", P, 3),
+    "check_completeness": lambda: check_completeness(Boudol, P),
+    "check_soundness": lambda: check_soundness(Criterion("w"), Boudol, P, 2),
+    "check_success_sensitiveness": lambda: check_success_sensitiveness(Boudol, P, 3),
+    "check_name_invariance": lambda: check_name_invariance(Boudol, P, {Name("a"): Name("b")}, 4),
+    "check_compositionality": lambda: check_compositionality(Boudol, Op("par"), (P, Q)),
+    "run_suite": lambda: run_suite(
+        [P, Q], [CheckSpec("v", "bisim-validity", {"scheme": "boudol", "relation": "wbb"})],
+        Limits(depth=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_an_entry_point_leaves_every_table_empty(name):
+    ENTRY_POINTS[name]()
+    assert _entries() == 0
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_a_call_inside_a_job_keeps_its_entries_until_the_job_ends(name):
+    with memo.job():
+        ENTRY_POINTS[name]()
+        kept = _entries()
+        ENTRY_POINTS[name]()
+        assert _entries() >= kept > 0
+    assert _entries() == 0
+
+
+def test_checks_in_a_loop_leave_every_table_empty():
+    # ROADMAP item 18's loop, with no outer job and no clear
+    cfg = GenConfig(seed=1, max_size=12, communication_bias=0.8, allow_replication=False)
+    for p in generate_corpus(cfg, 400):
+        check_bisim(WBB, p, encode(Boudol, p), 6)
+    assert _entries() == 0
+
+
+def test_validate_empties_the_tables_after_each_corpus_term(monkeypatch, capsys):
+    seen = []
+    run_check = harness._run_check
+
+    def watched(spec, index, term, limits):
+        before = _entries()
+        report = run_check(spec, index, term, limits)
+        seen.append((index, before, _entries()))
+        return report
+
+    monkeypatch.setattr(harness, "_run_check", watched)
+    code = cli.main(["validate", "--scheme", "boudol", "--kind", "wbb", "--depth", "4",
+                     "--corpus-seed", "3", "--corpus-size", "6", "--max-size", "8",
+                     "--no-replication"])
+    capsys.readouterr()
+    assert code in (0, 2)
+    assert [index for index, _, _ in seen] == list(range(6))
+    # every term fills the tables, and the next one starts from none
+    assert all(after > 0 for _, _, after in seen)
+    assert [before for index, before, _ in seen if index > 0] == [0] * 5
+    assert _entries() == 0
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("raises", [False, True])
-def test_paused_gc_restores_the_collector_state(enabled, raises):
+def test_a_job_restores_the_collector_state(enabled, raises):
     (gc.enable if enabled else gc.disable)()
     try:
         with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
-            with memo.paused_gc():
-                assert not gc.isenabled()
+            with memo.job():
+                with memo.job():
+                    congruence.normalize(P)
+                # the inner job leaves the pause and the tables to the outer one
+                assert not gc.isenabled() and _entries() > 0
                 if raises:
                     raise RuntimeError("check crashed")
         assert gc.isenabled() is enabled
+        assert memo.job.depth == 0 and _entries() == 0
     finally:
         gc.enable()
+
+
+def test_a_job_ending_on_one_thread_leaves_the_tables_of_another():
+    calls = Counter()
+
+    @memo.memo
+    def computed(key):
+        calls[key] += 1
+        return key
+
+    def worker(k):
+        for r in range(200):
+            with memo.job():
+                computed((k, r))
+                time.sleep(0)
+                # no other thread's job may have emptied the table meanwhile
+                computed((k, r))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        memo._TABLES.remove(computed)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 800 and set(calls.values()) == {1}
+    assert memo.job.depth == 0 and gc.isenabled()

@@ -15,7 +15,7 @@ from piworkbench.semantics import (_PLACEHOLDER, BoundOutput, FreeOutput, InputL
                                    _state_moves, _steps, build_fragment,
                                    default_universe, diverges, label_bn, label_fn,
                                    reduce_once)
-from piworkbench.syntax import Name, Par, Restrict, _free
+from piworkbench.syntax import Name, Par, Restrict, _free, names
 from piworkbench.text import parse_term, render_term
 
 x, z = Name("x"), Name("z")
@@ -293,6 +293,29 @@ def test_level_moves_equal_the_reference_derivation():
         count += 1
         replicated += "Repl(" in repr(s)
     assert count > 900 and replicated > 150, (count, replicated)
+    memo.clear()
+
+
+def _sorted_fresh_representative(p, universe):
+    """The rule `_fresh_representative` had: sort the names of the universe
+    that do not occur in `p`, and take the first reserved one, else the
+    first one."""
+    cands = sorted(n for n in universe if n not in names(p))
+    pooled = [n for n in cands if n.reserved]
+    return pooled[0] if pooled else cands[0] if cands else None
+
+
+def test_fresh_representative_is_the_sorted_rule():
+    # `_oracle` derives with the production `_fresh_representative`, so the
+    # reference derivation cannot see a change to it
+    memo.clear()
+    seen = Counter()
+    for s, universe in _level_cases():
+        for u in (universe, frozenset(n for n in universe if not n.reserved)):
+            want = _sorted_fresh_representative(s, u)
+            assert _fresh_representative(s, u) is want, render_term(s)
+            seen[None if want is None else want.reserved] += 1
+    assert seen[True] and seen[False] and seen[None], seen
     memo.clear()
 
 
