@@ -162,6 +162,9 @@ def _cmd_validate(args) -> int:
         "corpus_seed": args.corpus_seed,
         "corpus_size": args.corpus_size,
         "max_size": args.max_size,
+        "no_replication": args.no_replication,
+        "success_probability": args.success_probability,
+        "communication_bias": args.communication_bias,
     }
     return _emit_report(run_suite(corpus, [spec], Limits(depth=args.depth), config))
 

@@ -23,8 +23,10 @@ CRITERIA = ("c", "cp", "i", "s", "w", "g")
 @dataclass(frozen=True)
 class Criterion:
     """Correspondence criterion selector: completeness (c), its weakened
-    form (cp), and the soundness ladder (i, s, w, g).  The equivalence
-    parameter feeds the target-side comparison where one is allowed."""
+    form (cp), and the soundness ladder (i, s, w, g).  The tag fixes how a
+    criterion matches: c, i and s up to structural congruence with one
+    replication unfolding, and cp, w and g up to `equivalence`, SRWRB
+    unless another is named (Gorla, Inf. Comput. 2010)."""
 
     tag: str
     equivalence: Optional[RelationKind] = None
@@ -32,6 +34,11 @@ class Criterion:
     def __post_init__(self):
         if self.tag not in CRITERIA:
             raise ValueError(f"unknown criterion {self.tag!r}")
+        up_to_congruence = self.tag in ("c", "i", "s")
+        if up_to_congruence and self.equivalence is not None:
+            raise ValueError(f"criterion {self.tag!r} matches up to structural congruence")
+        if not up_to_congruence and self.equivalence is None:
+            object.__setattr__(self, "equivalence", SRWRB)
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,48 @@ class CheckReport:
 
 # The report status of each bisimulation verdict status.
 REPORT_STATUS = {"related": "pass", "not_related": "fail", "unknown": "unknown"}
+
+
+def _meets(states, goal, cut_off=False) -> str:
+    """Whether one of `states` is a goal up to one replication unfolding
+    (`goal` is a `variants` set), as a match status: a miss is `unknown`
+    when the search for a match was cut off."""
+    if not variants(states).isdisjoint(goal):
+        return "related"
+    return "unknown" if cut_off else "not_related"
+
+
+def _congruent_to(goal):
+    """The match test of a state against `goal` up to one unfolding."""
+    goal = variants((goal,))
+    return lambda state: _meets((state,), goal)
+
+
+def _first_match(statuses):
+    """The match status of a search that stops at its first `related` one,
+    and that one's position: a miss is `unknown` if a status was."""
+    miss = "not_related"
+    for n, status in enumerate(statuses):
+        if status == "related":
+            return status, n
+        if status == "unknown":
+            miss = status
+    return miss, None
+
+
+def _outcome(searches, cut_off=False, terms_cut_off=False):
+    """The report status of one match search per term, and the rendered
+    terms that failed and that are undecided, from (term, match status)
+    pairs.  A miss is undecided when its search said `unknown`, or when the
+    bound cut off the space it searched (`cut_off`); else it fails.  The
+    report fails on a failure, and is otherwise `unknown` when a term is
+    undecided or the bound cut off the terms themselves (`terms_cut_off`)."""
+    failures, undecided = [], []
+    for term, status in searches:
+        if status != "related":
+            (undecided if status == "unknown" or cut_off else failures).append(render_term(term))
+    status = "fail" if failures else "unknown" if undecided or terms_cut_off else "pass"
+    return status, failures, undecided
 
 
 def inert_steps(p: Process) -> frozenset:
@@ -112,12 +161,10 @@ def check_lemma(
         # reduction is closed under structural congruence, so membership
         # is up to one replication unfold (the inert start may have used one)
         reducts = variants(reduce_once(normalize(term)))
-        inert = inert_steps(term)
-        missing = [q for q in sorted(inert, key=render_term)
-                   if variants((q,)).isdisjoint(reducts)]
-        details["inert_steps"] = len(inert)
-        details["missing"] = [render_term(q) for q in missing]
-        return CheckReport("lemma-l1", instance, "fail" if missing else "pass", details)
+        inert = sorted(inert_steps(term), key=render_term)
+        status, missing, _ = _outcome((q, _meets((q,), reducts)) for q in inert)
+        return CheckReport("lemma-l1", instance, status,
+                           {"inert_steps": len(inert), "missing": missing})
 
     if lemma_id == "l2":
         violations = []
@@ -160,152 +207,105 @@ def check_lemma(
         return CheckReport("lemma-pb", instance, "fail" if violations else "pass", details)
 
     if lemma_id == "l5":
-        return _completeness_report("lemma-l5", scheme, term, instance)
+        return _completeness_report("lemma-l5", scheme, term, instance, _congruent_to)
 
     # l6
-    image = encode(scheme, term)
     encoded_reducts = variants(_encode(scheme, p2) for p2 in reduce_once(normalize(term)))
-    failures = []
-    undecided = []
-    for q in reduce_once(normalize(image)):
+    searches = []
+    for q in reduce_once(normalize(encode(scheme, term))):
         ex = _inert_exploration(q, depth)
-        if variants(ex.states).isdisjoint(encoded_reducts):
-            # a closure cut off by the depth bound may still reach a match
-            cut_off = any(inert_steps(ex.states[i]) for i in ex.horizon)
-            (undecided if cut_off else failures).append(render_term(q))
-    details["failures"] = failures
-    details["undecided"] = undecided
-    if failures:
-        status = "fail"
-    elif undecided:
-        status = "unknown"
-    else:
-        status = "pass"
-    return CheckReport("lemma-l6", instance, status, details)
+        # a closure cut off by the depth bound may still reach a match
+        cut_off = any(inert_steps(ex.states[i]) for i in ex.horizon)
+        searches.append((q, _meets(ex.states, encoded_reducts, cut_off)))
+    status, failures, undecided = _outcome(searches)
+    return CheckReport("lemma-l6", instance, status, {"failures": failures, "undecided": undecided})
 
 
 # depth of the bisimulation check that matches a reached state to a target
 _MATCH_DEPTH = 8
 
 
-def _completeness_report(check_id, scheme, term, instance, match_related=None):
+def _completeness_report(check_id, scheme, term, instance, match):
+    """Each source reduct's image must match a state that the translation
+    reaches within the protocol's step budget, the nearest first;
+    `match(goal)` is the match status of a reached state against `goal`."""
     bound = scheme.protocol_steps
     reach = build_fragment(encode(scheme, term), bound, universe=None)
-    per_reduct = []
-    failures = []
-    undecided = []
+    per_reduct, searches = [], []
     for p2 in reduce_once(normalize(term)):
-        target = _encode(scheme, p2)
-        target_variants = variants((target,)) if match_related is None else None
-        hit = None
-        saw_unknown = False
-        for state, d in zip(reach.states, reach.dist):
-            if match_related is None:
-                matched = not variants((state,)).isdisjoint(target_variants)
-            else:
-                verdict = check_bisim(match_related, state, target, _MATCH_DEPTH).status
-                matched = verdict == "related"
-                saw_unknown = saw_unknown or verdict == "unknown"
-            if matched:
-                hit = d
-                break
-        per_reduct.append({"reduct": render_term(p2), "path_length": hit})
-        if hit is None:
-            # a match check cut off by its bound may still have related
-            (undecided if saw_unknown else failures).append(p2)
-    status = "fail" if failures else "unknown" if undecided else "pass"
-    details = {"reducts": per_reduct, "bound": bound}
-    return CheckReport(check_id, instance, status, details)
+        status, n = _first_match(map(match(_encode(scheme, p2)), reach.states))
+        per_reduct.append({"reduct": render_term(p2),
+                           "path_length": None if n is None else reach.dist[n]})
+        searches.append((p2, status))
+    status, _, _ = _outcome(searches)
+    return CheckReport(check_id, instance, status, {"reducts": per_reduct, "bound": bound})
 
 
 @job()
 def check_completeness(scheme: EncodingScheme, term: Process) -> CheckReport:
     """Operational completeness: every source reduct is reached by the
-    translation within the protocol's step budget."""
-    instance = {
-        "criterion": "c",
-        "scheme": scheme.tag,
-        "term": render_term(term),
-        "bound": scheme.protocol_steps,
-    }
-    return _completeness_report("criterion-c", scheme, term, instance)
+    translation within the protocol's step budget, up to one unfolding."""
+    instance = {"criterion": "c", "scheme": scheme.tag, "term": render_term(term),
+                "bound": scheme.protocol_steps}
+    return _completeness_report("criterion-c", scheme, term, instance, _congruent_to)
 
 
 @job()
 def check_soundness(
     criterion: Criterion, scheme: EncodingScheme, term: Process, depth: int
 ) -> CheckReport:
-    """Soundness criteria: every (weak) step of the translation must be
-    explained by a source computation, at the criterion's strictness.  A
-    target left unmatched is undecided, not a failure, when the bound cut
-    off a search for its match: its own tau reach or checks, or the
-    source's tau reach."""
+    """Correspondence criteria.  Soundness (i, s, w, g): every (weak) step
+    of the translation must be explained by a source computation, at the
+    criterion's strictness.  A target left unmatched is undecided, not a
+    failure, when the bound cut off a search for its match: its own tau
+    reach or checks, or the source's tau reach.  Completeness: c is
+    `check_completeness`, and cp is the same search up to the criterion's
+    equivalence.  This is the one place that picks the match: up to
+    structural congruence when the criterion has no equivalence."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    tag = criterion.tag
+    tag, eq = criterion.tag, criterion.equivalence
+    if tag in ("c", "cp") and eq is None:
+        return check_completeness(scheme, term)
     instance = {"criterion": tag, "scheme": scheme.tag, "term": render_term(term), "depth": depth}
-    if tag in ("c", "cp"):
-        return _completeness_report(f"criterion-{tag}", scheme, term, instance,
-                                    match_related=criterion.equivalence)
+    if tag == "cp":
+        return _completeness_report(
+            "criterion-cp", scheme, term, instance,
+            lambda goal: lambda state: check_bisim(eq, state, goal, _MATCH_DEPTH).status)
 
     image = encode(scheme, term)
-    factor = scheme.protocol_steps
-
     if tag == "i":
         encoded_reducts = variants(_encode(scheme, s2) for s2 in reduce_once(normalize(term)))
-        failures = [render_term(t) for t in reduce_once(normalize(image))
-                    if variants((t,)).isdisjoint(encoded_reducts)]
-        status = "fail" if failures else "pass"
+        status, failures, _ = _outcome((t, _meets((t,), encoded_reducts))
+                                       for t in reduce_once(normalize(image)))
         return CheckReport("criterion-i", instance, status, {"failures": failures})
 
+    factor = scheme.protocol_steps
     source = build_fragment(term, depth, universe=None)
     source_images = [_encode(scheme, s) for s in source.states]
-    if tag == "s":
-        image_variants = variants(source_images)
     targets = build_fragment(image, factor * depth, universe=None)
-    eq = criterion.equivalence or SRWRB
-    # g asks one game about every (tau-descendant, source image) pair; w
-    # checks each pair alone, so that each match is a `check_bisim` verdict
-    # whose relation can be audited
-    if tag == "g":
-        descendants = [build_fragment(t, factor * depth, universe=None).states
-                       for t in targets.states]
-        pairs = dict.fromkeys((u, img) for us in descendants for u in us for img in source_images)
-        verdicts = dict(zip(pairs, relate(eq, pairs, depth)))
-    failures = []
-    undecided = []
-    for n, t in enumerate(targets.states):
-        saw_unknown = False
-        matched = False
-        if tag == "s":
-            reach = build_fragment(t, factor * depth, universe=None)
-            matched = not variants(reach.states).isdisjoint(image_variants)
-            saw_unknown = not matched and bool(reach.frontier)
-        else:  # w matches t itself, g any of its tau-descendants
-            for u in (t,) if tag == "w" else descendants[n]:
-                for img in source_images:
-                    status = verdicts[u, img] if tag == "g" else check_bisim(eq, u, img, depth).status
-                    if status == "related":
-                        matched = True
-                        break
-                    saw_unknown = saw_unknown or status == "unknown"
-                if matched:
-                    break
-        if not matched:
-            # the source states past the bound may hold a match
-            (undecided if saw_unknown or source.frontier else failures).append(render_term(t))
-    if failures:
-        status = "fail"
-    elif undecided or targets.frontier:
-        status = "unknown"
-    else:
-        status = "pass"
-    return CheckReport(
-        f"criterion-{tag}",
-        instance,
-        status,
-        {"failures": failures, "undecided": undecided, "targets": len(targets.states)},
-    )
+    if tag == "w":
+        # each pair is checked alone, so that each match is a `check_bisim`
+        # verdict whose relation can be audited
+        statuses = [_first_match(check_bisim(eq, t, img, depth).status for img in source_images)[0]
+                    for t in targets.states]
+    else:  # s and g match t or one of its tau-descendants
+        reaches = (build_fragment(t, factor * depth, universe=None) for t in targets.states)
+        if eq is None:
+            goal = variants(source_images)
+            statuses = [_meets(r.states, goal, bool(r.frontier)) for r in reaches]
+        else:  # one game asks about every (tau-descendant, source image) pair
+            descendants = [r.states for r in reaches]
+            pairs = dict.fromkeys((u, img) for us in descendants for u in us
+                                  for img in source_images)
+            verdicts = dict(zip(pairs, relate(eq, pairs, depth)))
+            statuses = [_first_match(verdicts[u, img] for u in us for img in source_images)[0]
+                        for us in descendants]
+    # the source states past the bound may hold a match
+    status, failures, undecided = _outcome(zip(targets.states, statuses),
+                                           bool(source.frontier), bool(targets.frontier))
+    details = {"failures": failures, "undecided": undecided, "targets": len(targets.states)}
+    return CheckReport(f"criterion-{tag}", instance, status, details)
 
 
 @job()

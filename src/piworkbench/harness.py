@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import memo
-from .correspondence import (REPORT_STATUS, CheckReport, Criterion,
-                             check_completeness, check_lemma, check_soundness,
-                             check_success_sensitiveness)
+from .correspondence import (REPORT_STATUS, CheckReport, Criterion, check_lemma,
+                             check_soundness, check_success_sensitiveness)
 from .encodings import Boudol, encode, scheme_from_string
 from .equivalences import RelationKind, check_bisim
 from .observables import CHAN, IN, OUT, strong_barbs
@@ -248,15 +247,10 @@ def _divergence(term, scheme, depth, params) -> CheckReport:
 
 
 def _criterion(term, scheme, depth, params) -> CheckReport:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     eq = params.get("equivalence")
     if isinstance(eq, str):
         eq = RelationKind(eq)
-    crit = Criterion(params["criterion"], eq)
-    if crit.tag == "c" and crit.equivalence is None:
-        return check_completeness(scheme, term)
-    return check_soundness(crit, scheme, term, depth)
+    return check_soundness(Criterion(params["criterion"], eq), scheme, term, depth)
 
 
 # check kind -> check(term, scheme, depth, params); the report's instance is

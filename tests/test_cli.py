@@ -168,6 +168,24 @@ def test_cli_validate_report(term_file, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_validate_echo_regenerates_its_corpus(capsys):
+    argv = ["validate", "--scheme", "ht", "--kind", "wcb", "--depth", "4",
+            "--corpus-seed", "9", "--corpus-size", "6", "--max-size", "7",
+            "--no-replication", "--success-probability", "0.5",
+            "--communication-bias", "0.7"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    echo = doc["config"]
+    cfg = GenConfig(seed=echo["corpus_seed"], max_size=echo["max_size"],
+                    allow_replication=not echo["no_replication"],
+                    insert_success_probability=echo["success_probability"],
+                    communication_bias=echo["communication_bias"])
+    terms = [render_term(t) for t in generate_corpus(cfg, echo["corpus_size"])]
+    assert [r["instance"]["term"] for r in doc["reports"]] == terms
+    # the flags reach the corpus: without them it would be another one
+    assert terms != [render_term(t) for t in generate_corpus(GenConfig(seed=9, max_size=7), 6)]
+
+
 def test_cli_correspondence(term_file, capsys):
     f = term_file("t.pi", "x!z | x?(y).0")
     assert main(["correspondence", "--criterion", "i", "--scheme", "boudol",

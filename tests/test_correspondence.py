@@ -11,7 +11,7 @@ from piworkbench.correspondence import (_MATCH_DEPTH, Criterion,
                                         check_success_sensitiveness,
                                         inert_steps)
 from piworkbench.encodings import Boudol, HondaTokoro, Op, _encode, encode
-from piworkbench.equivalences import SRWRB, Verdict, check_bisim
+from piworkbench.equivalences import SRWRB, RelationKind, Verdict, check_bisim
 from piworkbench.harness import GenConfig, generate_corpus
 from piworkbench.semantics import build_fragment, diverges, reduce_once
 from piworkbench.syntax import Input, Name, Output, Par, Repl, Restrict
@@ -311,6 +311,23 @@ def test_shared_game_keeps_every_definite_per_pair_status(monkeypatch):
                                 assert status == ("related" if want else "not_related"), (
                                     render_term(p), render_term(q), status)
     assert checked[4] > 100 and checked[2] > 20, checked
+
+
+@pytest.mark.parametrize("tag", ["c", "i", "s"])
+def test_a_criterion_up_to_congruence_takes_no_equivalence(tag):
+    with pytest.raises(ValueError):
+        Criterion(tag, RelationKind("wbb"))
+
+
+@pytest.mark.parametrize("scheme", [Boudol, HondaTokoro])
+def test_criterion_cp_matches_up_to_srwrb_by_default(scheme):
+    # mutant M12: up to SRWRB the translation itself is related to the
+    # image of the reduct 0, which it reaches up to structural congruence
+    # only after the protocol's steps
+    rep = check_soundness(Criterion("cp"), scheme, COMM, 2)
+    assert [r["path_length"] for r in rep.details["reducts"]] == [0]
+    assert rep.passed
+    assert Criterion("cp") == Criterion("cp", SRWRB)
 
 
 def test_criterion_c_exact_completeness():

@@ -181,6 +181,14 @@ def test_criterion_equivalence_named_by_string(criterion):
     assert not any("error" in r.details for r in named.reports)
 
 
+def test_criterion_c_rejects_an_equivalence():
+    corpus = (parse_term("x!z | x?(y).0"),)
+    spec = CheckSpec("k", "criterion", {"criterion": "c", "equivalence": "wbb"})
+    (rep,) = run_suite(corpus, [spec]).reports
+    assert rep.status == "fail"
+    assert rep.details["error"].startswith("ValueError: criterion 'c'")
+
+
 def test_malformed_check_spec():
     corpus = generate_corpus(GenConfig(seed=18, max_size=3), 1)
     rep = run_suite(corpus, [CheckSpec("oops", "no-such-kind", {})])
